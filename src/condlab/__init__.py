@@ -37,11 +37,9 @@ from .condenser import (
     Decomposition,
     FiniteDistribution,
     FlatDecomposition,
-    Slice,
     coordinate_min_entropy,
     decompose,
     empirical_condenser_profile,
-    find_bottleneck_slice,
     flat_decomposition_check,
     min_entropy,
     verify_converse_bounds,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BudgetError, ShapeError
-from .perms import PermutationSpec, WordVector, pack_words, unpack_words
+from .perms import PermutationSpec, pack_words, unpack_words
 
 DEFAULT_ENUM_BUDGET = 10 ** 6
 DEFAULT_POINT_BUDGET = 1 << 22
@@ -74,16 +74,12 @@ class PointSet:
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ShapeError(f"duplicate point {a:#x}")
-        if pts and not 0 <= pts[-1] < (1 << (n * w)):
+        if pts and not (pts[0] >= 0 and pts[-1] < (1 << (n * w))):
             raise ShapeError("point out of range for the declared shape")
         self.points = tuple(pts)
         self.n = n
         self.w = w
         self._tuples = None
-
-    @classmethod
-    def from_vectors(cls, vectors, n: int, w: int) -> "PointSet":
-        return cls((v.packed() for v in vectors), n, w)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -112,9 +108,6 @@ class PointSet:
         if self._tuples is None:
             self._tuples = [unpack_words(p, self.n, self.w) for p in self.points]
         return self._tuples
-
-    def vectors(self) -> list[WordVector]:
-        return [WordVector(t, self.n) for t in self.word_tuples()]
 
 
 # --- combination ranking (lexicographic, matches itertools.combinations) --
@@ -161,6 +154,26 @@ def _check_box_params(n: int, q: int, w: int):
         raise ShapeError(f"q={q} exceeds the alphabet size 2^{n}")
 
 
+def rank_to_digits(rank: int, radix: int, w: int) -> tuple[int, ...]:
+    """Mixed-radix digits of a global box rank, most significant first:
+    one combination rank per side. The leading digit keeps any overflow,
+    so an exhausted cursor (rank == radix**w) survives the round trip."""
+    digits = []
+    for _ in range(w - 1):
+        rank, d = divmod(rank, radix)
+        digits.append(d)
+    digits.append(rank)
+    return tuple(reversed(digits))
+
+
+def digits_to_rank(digits, radix: int) -> int:
+    """Inverse of :func:`rank_to_digits`."""
+    rank = 0
+    for d in digits:
+        rank = rank * radix + d
+    return rank
+
+
 def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield every q-box exactly once, in lexicographic order of sides."""
     _check_box_params(n, q, w)
@@ -171,49 +184,33 @@ def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_ENUM_BUDGET):
             f"budget of {budget}",
             refused=total,
         )
-    sides = list(itertools.combinations(range(1 << n), q))
-    for chosen in itertools.product(sides, repeat=w):
-        yield QBox(chosen, n)
+    yield from enumerate_qboxes_range(n, q, w, 0, total)
 
 
 def box_at_rank(rank: int, n: int, q: int, w: int) -> QBox:
     """The box at a global lexicographic rank (mixed-radix over sides)."""
-    radix = comb(1 << n, q)
-    ranks = []
-    for _ in range(w):
-        rank, r = divmod(rank, radix)
-        ranks.append(r)
-    return QBox.from_ranks(reversed(ranks), n, q)
+    return QBox.from_ranks(rank_to_digits(rank, comb(1 << n, q), w), n, q)
 
 
 def global_rank(box: QBox) -> int:
-    radix = comb(1 << box.n, box.q)
-    acc = 0
-    for r in box.rank_tuple():
-        acc = acc * radix + r
-    return acc
+    return digits_to_rank(box.rank_tuple(), comb(1 << box.n, box.q))
 
 
 def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
     """Yield boxes with global ranks in [start, stop), lexicographically.
 
-    Used to shard the outer search and to resume from a checkpoint; no
-    total-count budget applies since the caller bounds the range.
+    The one enumeration loop: ``enumerate_qboxes`` and the exact search,
+    which resumes from a checkpoint cursor, both run it. No total-count
+    budget applies since the caller bounds the range.
     """
     _check_box_params(n, q, w)
     sides = list(itertools.combinations(range(1 << n), q))
     radix = len(sides)
-    total = radix ** w
-    stop = min(stop, total)
+    stop = min(stop, radix ** w)
     if start >= stop:
         return
-    # odometer over per-side indices, seeded by decomposing `start`
-    idx = []
-    r = start
-    for _ in range(w):
-        r, d = divmod(r, radix)
-        idx.append(d)
-    idx.reverse()
+    # odometer over per-side indices, seeded by the digits of `start`
+    idx = list(rank_to_digits(start, radix, w))
     for _ in range(stop - start):
         yield QBox(tuple(sides[i] for i in idx), n)
         for pos in range(w - 1, -1, -1):

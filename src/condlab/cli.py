@@ -3,7 +3,7 @@
 Exit codes are pinned for scripting: 0 success, 1 usage or parse error,
 2 budget refusal, 3 internal invariant violation. All randomness flows
 from the --seed flag through ``random.Random`` (Mersenne Twister), so
-every command is reproducible; the thread count never changes results.
+every command is reproducible. --threads is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -23,6 +22,8 @@ from .boxes import QBox, image_of_box
 from .errors import BudgetError, CondlabError, TableFormatError
 from .gf2n import selfcheck
 from .perms import (
+    KINDS,
+    TRIPLE_KINDS,
     PermutationSpec,
     WordVector,
     load_table_file,
@@ -35,8 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
-
-SPEC_KINDS = ("identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random", "table")
 
 
 class _UsageError(Exception):
@@ -59,7 +58,6 @@ class RunConfig:
     q: int | None = None
     alpha_n: float | None = None
     seed: int = 0
-    threads: int = 1
     mode: str = "exact"
     budget: int | None = None
     eps1: float | None = None
@@ -72,13 +70,6 @@ class RunConfig:
     out: str | None = None
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CONDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
                     need_w=False) -> RunConfig:
     """Build a RunConfig, aggregating every validation issue into one error."""
@@ -88,8 +79,6 @@ def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
     cfg.n = getattr(args, "n", None)
     cfg.w = getattr(args, "w", None)
     cfg.seed = getattr(args, "seed", 0) or 0
-    threads_arg = getattr(args, "threads", None)
-    cfg.threads = threads_arg if threads_arg is not None else _default_threads()
     cfg.mode = getattr(args, "mode", "exact")
     cfg.budget = getattr(args, "budget", None)
     cfg.trials = getattr(args, "trials", None)
@@ -110,8 +99,9 @@ def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
         issues.append(f"--n must be in 1..64, got {cfg.n}")
     if cfg.w is not None and cfg.w < 1:
         issues.append(f"--w must be at least 1, got {cfg.w}")
-    if cfg.threads < 1:
-        issues.append(f"--threads must be at least 1, got {cfg.threads}")
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
+        issues.append(f"--threads must be at least 1, got {threads}")
 
     q = getattr(args, "q", None)
     alpha_n = getattr(args, "alpha_n", None)
@@ -140,7 +130,7 @@ def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
     if need_spec:
         if cfg.spec_kind == "table" and not getattr(args, "table_file", None):
             issues.append("--table-file is required for table specs")
-        if cfg.spec_kind in ("pi1", "pi2", "pi3", "bothmix"):
+        if cfg.spec_kind in TRIPLE_KINDS:
             if cfg.w not in (None, 3):
                 issues.append(f"--spec {cfg.spec_kind} requires --w 3")
             cfg.w = 3
@@ -158,12 +148,6 @@ def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
 
 def _build_spec(args, cfg: RunConfig) -> PermutationSpec:
     kind = cfg.spec_kind
-    if kind == "identity":
-        return PermutationSpec.identity(cfg.n, cfg.w)
-    if kind in ("pi1", "pi2", "pi3", "bothmix"):
-        return PermutationSpec(kind, cfg.n, 3)
-    if kind == "piw":
-        return PermutationSpec.piw(cfg.n, cfg.w)
     if kind == "random":
         return random_table(args.seed, cfg.n, cfg.w)
     if kind == "table":
@@ -174,7 +158,7 @@ def _build_spec(args, cfg: RunConfig) -> PermutationSpec:
                 f"(n={cfg.n}, w={cfg.w})"
             )
         return spec
-    raise _UsageError(f"unknown spec kind {kind!r}")
+    return PermutationSpec(kind, cfg.n, cfg.w)
 
 
 def _maybe_warn_composite(spec: PermutationSpec):
@@ -305,7 +289,7 @@ def cmd_cond(args) -> int:
     spec = _build_spec(args, cfg)
     _maybe_warn_composite(spec)
     if cfg.mode == "exact":
-        kwargs = {"threads": cfg.threads}
+        kwargs = {}
         if cfg.budget is not None:
             kwargs["outer_budget"] = cfg.budget
         if cfg.checkpoint:
@@ -315,7 +299,7 @@ def cmd_cond(args) -> int:
     else:
         budget = cfg.budget if cfg.budget is not None else 200
         report = cond_mod.heuristic_lower_bound(
-            spec, cfg.q, budget=budget, seed=cfg.seed, threads=cfg.threads,
+            spec, cfg.q, budget=budget, seed=cfg.seed,
         )
     if cfg.out:
         _write_json(cfg.out, report.to_json_dict())
@@ -372,7 +356,6 @@ def cmd_condenser_profile(args) -> int:
     _maybe_warn_composite(spec)
     profile = condenser_mod.empirical_condenser_profile(
         spec, cfg.alpha_n, cfg.eps1, cfg.eps2, args.trials, cfg.seed,
-        threads=cfg.threads,
     )
     if cfg.out:
         _write_json(cfg.out, profile.to_json_dict())
@@ -446,13 +429,13 @@ def cmd_experiment(args) -> int:
             ))
 
         control = cond_mod.exact_conductance(
-            PermutationSpec.identity(cfg.n, w), cfg.q, threads=cfg.threads
+            PermutationSpec.identity(cfg.n, w), cfg.q
         )
         emit("control", "identity", None, control)
         for _ in range(args.count):
             table_seed = rng.randrange(2 ** 32)
             spec = random_table(table_seed, cfg.n, w)
-            report = cond_mod.exact_conductance(spec, cfg.q, threads=cfg.threads)
+            report = cond_mod.exact_conductance(spec, cfg.q)
             emit("perm", "random", table_seed, report)
         lines.append(",".join(
             ["summary", "", "", str(cfg.n), str(w), str(cfg.q), "", "", ""]
@@ -481,14 +464,14 @@ def _add_common(p, *, n=True, w=True, seed=False, threads=False, out=False):
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
     if threads:
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: CONDLAB_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     if out:
         p.add_argument("--out", help="write a JSON report here")
 
 
 def _add_spec_args(p):
-    p.add_argument("--spec", required=True, choices=SPEC_KINDS)
+    p.add_argument("--spec", required=True, choices=KINDS)
     p.add_argument("--table-file", help="permutation table file for --spec table")
 
 

@@ -16,8 +16,8 @@ needs every q-box V to satisfy |S ∩ V| < 2^(alpha_n*w*(1-eps1-eps2-eps3-
 1/alpha_n)). ``verify_converse_bounds`` checks that precondition
 exhaustively when it can and otherwise marks the bound unverified.
 
-Slice scan order is pinned (coordinate ascending, then value ascending)
-so reference traces are reproducible. Size-versus-threshold comparisons
+The scan order of slices is pinned (coordinate ascending, then value
+ascending) so reference traces are reproducible. Size-versus-threshold comparisons
 go through :func:`size_below` / :func:`size_above`, which are exact
 whenever the integer size is a power of two or the exponent is clear of
 the unit interval around log2(size).
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -186,20 +185,6 @@ def _scaled_below(size: int, shift: float, limit: int) -> bool:
 # --- slices and the partitioning procedure ----------------------------------
 
 
-@dataclass(frozen=True)
-class Slice:
-    """An axis-aligned slice: the points whose ``coord``-th word is ``value``."""
-
-    coord: int
-    value: int
-    points: PointSet
-
-    def __post_init__(self):
-        for t in self.points.word_tuples():
-            if t[self.coord] != self.value:
-                raise ShapeError("slice contains a point off its hyperplane")
-
-
 def cut_exponent(alpha_n: float, w: int, eps1: float, eps2: float) -> float:
     """Exponent of the bottleneck threshold 2^(alpha_n*(w-1-eps1-eps2))."""
     return alpha_n * (w - 1 - eps1 - eps2)
@@ -208,23 +193,6 @@ def cut_exponent(alpha_n: float, w: int, eps1: float, eps2: float) -> float:
 def keep_exponent(alpha_n: float, w: int, eps2: float) -> float:
     """Exponent of the pile-keeping threshold 2^(alpha_n*(w-eps2))."""
     return alpha_n * (w - eps2)
-
-
-def find_bottleneck_slice(points: PointSet, alpha_n: float, eps1: float,
-                          eps2: float) -> Slice | None:
-    """First slice (coordinate ascending, then value ascending) whose size
-    is strictly between 0 and the bottleneck threshold; None when no slice
-    qualifies."""
-    threshold = cut_exponent(alpha_n, points.w, eps1, eps2)
-    tuples = points.word_tuples()
-    for i in range(points.w):
-        groups = defaultdict(list)
-        for p, t in zip(points.points, tuples):
-            groups[t[i]].append(p)
-        for y in sorted(groups):
-            if size_below(len(groups[y]), threshold):
-                return Slice(i, y, PointSet(groups[y], points.n, points.w))
-    return None
 
 
 @dataclass(frozen=True)
@@ -259,29 +227,32 @@ class Decomposition:
         return PointSet(merged, self.n, self.w)
 
     def validate(self) -> None:
-        """Raise AssertionError on any violated structural invariant."""
+        """Raise AssertionError on any violated structural invariant. The
+        checks raise explicitly, so they also run under python -O."""
         seen = set()
         for part in (*self.parts, self.r0, self.r1):
             overlap = seen & set(part.points)
-            assert not overlap, f"parts overlap on {sorted(overlap)[:3]}"
+            if overlap:
+                raise AssertionError(f"parts overlap on {sorted(overlap)[:3]}")
             seen.update(part.points)
         keep_e = keep_exponent(self.alpha_n, self.w, self.eps2)
         for i, part in enumerate(self.parts):
             if not len(part):
                 continue
-            assert size_above(len(part), keep_e), (
-                f"kept part {i} has only {len(part)} points"
-            )
+            if not size_above(len(part), keep_e):
+                raise AssertionError(f"kept part {i} has only {len(part)} points")
             cut_e = cut_exponent(self.alpha_n, self.w, self.eps1, self.eps2)
             shift = (1 + self.eps1) * self.alpha_n
             for _, count in slice_sizes(part, i).items():
-                assert size_below(count, cut_e), "slice at/over cut threshold"
-                assert _scaled_below(count, shift, len(part)), (
-                    "slice too fat relative to its part"
-                )
+                if not size_below(count, cut_e):
+                    raise AssertionError("slice at/over cut threshold")
+                if not _scaled_below(count, shift, len(part)):
+                    raise AssertionError("slice too fat relative to its part")
         r1_limit = self.w * 2.0 ** keep_e
-        assert len(self.r1) <= r1_limit, f"|R1| = {len(self.r1)} over bound"
-        assert len(self.slice_log) <= len(seen), "more cuts than points"
+        if len(self.r1) > r1_limit:
+            raise AssertionError(f"|R1| = {len(self.r1)} over bound")
+        if len(self.slice_log) > len(seen):
+            raise AssertionError("more cuts than points")
 
     def to_json_dict(self) -> dict:
         digits = -(-self.n * self.w // 4)
@@ -612,8 +583,10 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
 
     Boxes are sampled by drawing one combination rank per side from a
     single seeded generator (unranked to the actual subsets), so profiles
-    are reproducible; trials may run in parallel and merge by index.
+    are reproducible. Trials run one after another; ``threads`` is
+    accepted for interface symmetry and ignored.
     """
+    del threads
     if trials < 0:
         raise RangeError(f"trials must be nonnegative, got {trials}")
     q = 2.0 ** alpha_n
@@ -630,8 +603,7 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
 
     target_shift = (1 + eps1) * alpha_n
 
-    def run_trial(args):
-        index, ranks = args
+    def run_trial(index, ranks):
         box = QBox.from_ranks(ranks, spec.n, q)
         img = image_of_box(spec, box)
         dec = decompose(img, alpha_n, eps1, eps2)
@@ -645,12 +617,7 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
             entropies[i] = (len(part), fattest, bits, met)
         return TrialProfile(index, ranks, gamma, entropies)
 
-    jobs = list(enumerate(all_ranks))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, jobs))
-    else:
-        results = [run_trial(j) for j in jobs]
+    results = [run_trial(index, ranks) for index, ranks in enumerate(all_ranks)]
 
     gammas = [t.gamma for t in results]
     met_flags = [

@@ -8,12 +8,15 @@ per-coordinate top-q frequency sums of the surviving points cannot beat
 the incumbent. The incumbent only ever moves on a strict improvement and
 candidates are visited in lexicographic order, so the reported witnesses
 are the lexicographically smallest (U, V) achieving the maximum and
-serial, sharded, and resumed runs agree bit for bit.
+full and resumed runs agree bit for bit.
 
 Heuristic mode hill-climbs over U with random single-value side swaps
 (restarting when stuck) and solves V greedily per U; its result is a
 certified lower bound because the witness pair replays to the claimed
-count. It is sequential by design, so a thread count never changes it.
+count.
+
+Both searches run in one thread: the work is pure Python, so thread
+shards would not run in parallel.
 
 q is taken directly (side size); alpha = log2(q)/n is derived and
 reported. Side sizes that are not powers of two are accepted as an
@@ -28,7 +31,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -37,10 +39,12 @@ from .boxes import (
     PointSet,
     box_count,
     combination_unrank,
+    digits_to_rank,
     enumerate_qboxes_range,
     greedy_box,
     image_of_box,
     intersection_count,
+    rank_to_digits,
     _check_box_params,
 )
 from .errors import BudgetError, CondlabError, RangeError, ShapeError
@@ -204,29 +208,37 @@ def _budget_refusal_message(n: int, q: int, w: int, total: int, budget: int) -> 
 def _scan_range(spec, q, start, stop, incumbent, inner_node_budget,
                 checkpoint_path=None, checkpoint_every=0,
                 init_u=None, init_v=None):
-    """Scan boxes with global ranks in [start, stop); returns the local
-    best (count, u_rank, u_sides, v_sides) and the number examined.
-    ``init_u``/``init_v`` carry resumed witnesses so that checkpoints
-    written before any improvement stay replayable."""
+    """Scan boxes with global ranks in [start, stop); returns the best
+    (count, u_sides, v_sides) and the number examined. ``init_u``/``init_v``
+    carry resumed witnesses so that checkpoints written before any
+    improvement stay replayable. When the inner search runs out of nodes,
+    the checkpoint is written at the failing box's rank before the error
+    propagates, so a resumed run loses no progress."""
     best = incumbent
-    best_rank = None
     best_u = init_u
     best_v = init_v
     rank = start
     for ubox in enumerate_qboxes_range(spec.n, q, spec.w, start, stop):
         img = image_of_box(spec, ubox)
-        count, sides = _best_box_bnb(
-            img.word_tuples(), spec.n, spec.w, q, incumbent=best,
-            node_budget=inner_node_budget,
-        )
+        try:
+            count, sides = _best_box_bnb(
+                img.word_tuples(), spec.n, spec.w, q, incumbent=best,
+                node_budget=inner_node_budget,
+            )
+        except BudgetError:
+            if checkpoint_path:
+                write_checkpoint(
+                    checkpoint_path, spec, q, rank, best, best_u, best_v, rank,
+                )
+            raise
         if sides is not None:
-            best, best_rank, best_u, best_v = count, rank, ubox.sides, sides
+            best, best_u, best_v = count, ubox.sides, sides
         rank += 1
         if checkpoint_path and checkpoint_every and (rank - start) % checkpoint_every == 0:
             write_checkpoint(
                 checkpoint_path, spec, q, rank, best, best_u, best_v, rank,
             )
-    return best, best_rank, best_u, best_v, rank - start
+    return best, best_u, best_v, rank - start
 
 
 def exact_conductance(spec: PermutationSpec, q: int, *,
@@ -236,8 +248,9 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                       checkpoint_path: str | None = None,
                       checkpoint_every: int = 1000) -> ConductanceReport:
     """The true maximum of |pi(U) ∩ V| over all q-box pairs, with the
-    lexicographically smallest witnesses. Deterministic for any thread
-    count; checkpointing requires threads == 1."""
+    lexicographically smallest witnesses. Deterministic; ``threads`` is
+    accepted for interface symmetry and ignored."""
+    del threads
     t0 = time.monotonic()
     _check_box_params(spec.n, q, spec.w)
     total = box_count(spec.n, q, spec.w)
@@ -246,8 +259,6 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
             _budget_refusal_message(spec.n, q, spec.w, total, outer_budget),
             refused=total,
         )
-    if checkpoint_path and threads > 1:
-        raise CondlabError("checkpointing requires threads=1")
 
     start = 0
     incumbent = -1
@@ -259,34 +270,16 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
             raise CondlabError(
                 f"checkpoint {checkpoint_path} belongs to a different search"
             )
-        start = _tuple_to_rank(ck["cursor"], comb(1 << spec.n, q))
+        start = digits_to_rank(ck["cursor"], comb(1 << spec.n, q))
         incumbent = ck["max_count"]
         resumed_u, resumed_v = ck["witness_u"], ck["witness_v"]
         examined_before = ck["boxes_examined"]
 
-    if threads <= 1:
-        best, _, u_sides, v_sides, done = _scan_range(
-            spec, q, start, total, incumbent, inner_node_budget,
-            checkpoint_path, checkpoint_every, resumed_u, resumed_v,
-        )
-        examined = examined_before + done
-    else:
-        # contiguous shards in rank order; merge keeps the max count and,
-        # on ties, the earliest shard, which is the lexicographic rule
-        bounds = [start + (total - start) * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_scan_range, spec, q, lo, hi, -1, inner_node_budget)
-                for lo, hi in zip(bounds, bounds[1:])
-                if lo < hi
-            ]
-            results = [f.result() for f in futures]
-        best, u_sides, v_sides = incumbent, resumed_u, resumed_v
-        examined = examined_before
-        for count, rank, us, vs, done in results:
-            examined += done
-            if us is not None and count > best:
-                best, u_sides, v_sides = count, us, vs
+    best, u_sides, v_sides, done = _scan_range(
+        spec, q, start, total, incumbent, inner_node_budget,
+        checkpoint_path, checkpoint_every, resumed_u, resumed_v,
+    )
+    examined = examined_before + done
 
     if checkpoint_path:
         write_checkpoint(checkpoint_path, spec, q, total, best, u_sides,
@@ -306,21 +299,6 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
         exhausted=True,
         wall_seconds=wall,
     )
-
-
-def naive_max_count(spec: PermutationSpec, q: int,
-                    outer_budget: int = DEFAULT_OUTER_BUDGET) -> int:
-    """Plain double loop over all (U, V) pairs. Exists as a slow reference
-    path; tests carry their own independent oracle."""
-    from .boxes import enumerate_qboxes
-
-    best = -1
-    vboxes = list(enumerate_qboxes(spec.n, q, spec.w, budget=outer_budget))
-    for ubox in enumerate_qboxes(spec.n, q, spec.w, budget=outer_budget):
-        img = image_of_box(spec, ubox)
-        for vbox in vboxes:
-            best = max(best, intersection_count(img, vbox))
-    return best
 
 
 # --- heuristic lower bound --------------------------------------------------
@@ -381,8 +359,13 @@ def heuristic_lower_bound(spec: PermutationSpec, q: int, budget: int = 200,
             else:
                 stale += 1
 
-    # replay the witness so the reported count is certified
-    assert intersection_count(image_of_box(spec, best_u), best_v) == best_count
+    # replay the witness so the reported count is certified; an explicit
+    # raise, because python -O strips assert statements
+    replayed = intersection_count(image_of_box(spec, best_u), best_v)
+    if replayed != best_count:
+        raise AssertionError(
+            f"heuristic witness replays to {replayed}, not the claimed {best_count}"
+        )
     return ConductanceReport(
         n=n,
         w=w,
@@ -533,24 +516,6 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 # sides, and the number of boxes examined so far.
 
 
-def _rank_to_tuple(rank: int, radix: int, w: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(w - 1):
-        rank, r = divmod(rank, radix)
-        out.append(r)
-    # the leading digit keeps any overflow so rank == radix**w (an
-    # exhausted cursor) survives the round trip
-    out.append(rank)
-    return tuple(reversed(out))
-
-
-def _tuple_to_rank(tup, radix: int) -> int:
-    acc = 0
-    for r in tup:
-        acc = acc * radix + r
-    return acc
-
-
 def _sides_to_text(sides) -> str:
     if sides is None:
         return "-"
@@ -567,8 +532,7 @@ def _sides_from_text(text: str):
 
 def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,
                      max_count: int, u_sides, v_sides, examined: int) -> None:
-    radix = comb(1 << spec.n, q)
-    cursor = _rank_to_tuple(next_rank, radix, spec.w)
+    cursor = rank_to_digits(next_rank, comb(1 << spec.n, q), spec.w)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write("condlab-ckpt v1\n")

@@ -210,6 +210,8 @@ def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
     """Run field axiom checks for degree n and return a summary dict.
 
     Exhaustive over all triples for n <= 5, seeded sampling beyond that.
+    A violated axiom raises AssertionError explicitly, so the checks also
+    run under python -O.
     """
     import itertools
     import random
@@ -235,11 +237,16 @@ def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
 
     checked = 0
     for a, b, c in triples:
-        assert (a ^ b) ^ c == a ^ (b ^ c)
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert mul(a, b) == mul(b, a)
-        assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
-        assert mul(a, 1) == a and a ^ 0 == a and mul(a, 0) == 0
+        if not (
+            (a ^ b) ^ c == a ^ (b ^ c)
+            and mul(mul(a, b), c) == mul(a, mul(b, c))
+            and mul(a, b) == mul(b, a)
+            and mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+            and mul(a, 1) == a and a ^ 0 == a and mul(a, 0) == 0
+        ):
+            raise AssertionError(
+                f"field axiom fails for n={n} at a={a:#x}, b={b:#x}, c={c:#x}"
+            )
         checked += 1
 
     inv_checked = 0
@@ -250,7 +257,8 @@ def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
         nonzero = (rng.randrange(1, size) for _ in range(min(samples, 500)))
     for a in nonzero:
         inv = gf_inv(FieldElement(a, n), p).bits
-        assert mul(a, inv) == 1
+        if mul(a, inv) != 1:
+            raise AssertionError(f"inverse of {a:#x} fails for n={n}")
         inv_checked += 1
 
     return {

@@ -41,7 +41,8 @@ from .gf2n import ReductionPolynomial, default_poly, is_prime, mul_raw
 EXHAUSTIVE_BUDGET_BITS = 24
 
 KINDS = ("identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random", "table")
-_TRIPLE_KINDS = ("pi1", "pi2", "pi3", "bothmix")
+# constructions defined only at w = 3
+TRIPLE_KINDS = ("pi1", "pi2", "pi3", "bothmix")
 # constructions whose conductance/condenser guarantees assume a prime degree
 _PRIME_SENSITIVE = ("pi1", "pi2", "pi3", "piw", "bothmix")
 
@@ -110,7 +111,7 @@ class PermutationSpec:
             raise UnsupportedDegreeError(
                 f"field degree must be in 1..64, got {self.n}"
             )
-        if self.kind in _TRIPLE_KINDS and self.w != 3:
+        if self.kind in TRIPLE_KINDS and self.w != 3:
             raise ShapeError(f"{self.kind} requires w == 3, got w={self.w}")
         if self.kind == "piw" and self.w < 3:
             raise ShapeError(f"piw requires w >= 3, got w={self.w}")
@@ -314,15 +315,6 @@ class BijectivityReport:
     n: int
     w: int
     collision: tuple[int, int] | None = None  # two packed inputs, same output
-
-    def collision_vectors(self) -> tuple[WordVector, WordVector] | None:
-        if self.collision is None:
-            return None
-        a, b = self.collision
-        return (
-            WordVector.from_packed(a, self.n, self.w),
-            WordVector.from_packed(b, self.n, self.w),
-        )
 
 
 def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET_BITS) -> BijectivityReport:

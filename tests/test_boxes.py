@@ -89,6 +89,8 @@ def test_pointset_basics():
     assert 2 in ps and 0 not in ps
     with pytest.raises(ShapeError):
         PointSet([1, 1], 2, 1)
+    with pytest.raises(ShapeError):
+        PointSet([-1, 5], 2, 3)
 
 
 def test_image_of_identity_is_the_box_itself():

@@ -86,12 +86,13 @@ def test_cond_budget_refusal_exit_2(capsys):
 
 def test_usage_errors_aggregate_exit_1(capsys):
     code = run("cond", "--spec", "pi1", "--n", "70", "--w", "0", "--q", "0",
-               "--mode", "exact")
+               "--mode", "exact", "--threads", "0")
     assert code == 1
     err = capsys.readouterr().err
-    # all three issues land in one aggregated message
+    # all four issues land in one aggregated message
     assert "--n must be in 1..64" in err
     assert "--w must be at least 1" in err
+    assert "--threads must be at least 1, got 0" in err
     assert "--q must be at least 1" in err
     assert err.count("error:") == 1
 
@@ -202,14 +203,14 @@ def test_unknown_arguments_exit_1(capsys):
     assert run("no-such-command") == 1
 
 
-def test_condlab_threads_env_is_honored(monkeypatch, capsys):
+def test_condlab_threads_env_is_ignored(monkeypatch, capsys):
     monkeypatch.setenv("CONDLAB_THREADS", "4")
     assert run("cond", "--spec", "pi1", "--n", "2", "--w", "3", "--q", "2",
                "--mode", "exact") == 0
     assert "condd=3" in capsys.readouterr().out
     monkeypatch.setenv("CONDLAB_THREADS", "not-a-number")
     assert run("cond", "--spec", "identity", "--n", "2", "--w", "2",
-               "--q", "2") == 0  # falls back to one thread
+               "--q", "2") == 0  # the variable is never read
 
 
 def test_composite_degree_note_on_stderr(capsys):

@@ -17,7 +17,6 @@ from condlab.condenser import (
     coordinate_min_entropy,
     decompose,
     empirical_condenser_profile,
-    find_bottleneck_slice,
     flat_decomposition_check,
     min_entropy,
     size_above,
@@ -178,17 +177,15 @@ def test_size_comparisons_are_exact_at_power_boundaries():
 
 def test_single_point_yields_first_coordinate_slice():
     ps = PointSet([0b011011], 2, 3)  # words (1, 2, 3)
-    found = find_bottleneck_slice(ps, 1.0, 0.25, 0.25)  # threshold 2^1.5
-    assert found is not None
-    assert found.coord == 0
-    assert found.value == 1
-    assert found.points.points == (0b011011,)
+    dec = decompose(ps, 1.0, 0.25, 0.25)  # threshold 2^1.5
+    # (iteration, coordinate, value, size)
+    assert dec.slice_log[0] == (1, 0, 1, 1)
 
 
 def test_full_cube_has_no_bottleneck():
     ps = PointSet(range(64), 2, 3)
     # every slice holds 16 points; threshold 2^(w-1)n = 16 is not strict
-    assert find_bottleneck_slice(ps, 2.0, 0.0, 0.0) is None
+    assert decompose(ps, 2.0, 0.0, 0.0).slice_log == ()
 
 
 def test_find_bottleneck_matches_naive_scan_on_pi1_images():
@@ -205,11 +202,11 @@ def test_find_bottleneck_matches_naive_scan_on_pi1_images():
                     break
             if naive:
                 break
-        found = find_bottleneck_slice(img, alpha_n, eps1, eps2)
+        log = decompose(img, alpha_n, eps1, eps2).slice_log
         if naive is None:
-            assert found is None
+            assert log == ()
         else:
-            assert (found.coord, found.value) == naive
+            assert log[0][1:3] == naive
 
 
 # --- decompose -------------------------------------------------------------------------
@@ -372,6 +369,14 @@ def test_decomposition_json_round_trip():
     assert back.r1 == dec.r1
     assert back.slice_log == dec.slice_log
     back.validate()
+
+
+def test_decomposition_json_rejects_negative_points():
+    dec = decompose(PointSet([0b011011], 2, 3), 1.0, 0.25, 0.25)
+    blob = dec.to_json_dict()
+    blob["parts"]["R0"] = ["-1", "5"]
+    with pytest.raises(ShapeError):
+        Decomposition.from_json_dict(blob)
 
 
 # --- empirical profile ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from condlab.conductance import (
     degree_from_count,
     exact_conductance,
     heuristic_lower_bound,
-    naive_max_count as slow_reference,
+    read_checkpoint,
     replay_witness,
 )
 from condlab.errors import BudgetError, CondlabError, RangeError, ShapeError
@@ -107,7 +107,7 @@ def test_parallel_equals_serial():
 
 def test_engine_agrees_with_package_reference_path():
     spec = random_table(2, 2, 2)
-    assert exact_conductance(spec, 2).max_count == slow_reference(spec, 2)
+    assert exact_conductance(spec, 2).max_count == naive_max_count(list(spec.table), 2, 2)
 
 
 def test_conjugation_smoke():
@@ -137,8 +137,23 @@ def test_checkpoint_resume_equals_full_run(tmp_path):
     spec = random_table(8, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "search.ckpt")
-    best, _, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 9, -1, None)
+    best, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 9, -1, None)
     write_checkpoint(path, spec, 2, 9, best, u_sides, v_sides, 9)
+    resumed = exact_conductance(spec, 2, checkpoint_path=path)
+    assert resumed.max_count == full.max_count
+    assert resumed.witness_u == full.witness_u
+    assert resumed.witness_v == full.witness_v
+    assert resumed.boxes_examined == full.boxes_examined
+
+
+def test_inner_budget_refusal_keeps_a_resumable_checkpoint(tmp_path):
+    spec = random_table(3, 2, 3)
+    full = exact_conductance(spec, 2)
+    path = str(tmp_path / "refused.ckpt")
+    # node budget 11 lets the first two boxes through, then refuses one
+    with pytest.raises(BudgetError):
+        exact_conductance(spec, 2, inner_node_budget=11, checkpoint_path=path)
+    assert read_checkpoint(path)["boxes_examined"] == 2
     resumed = exact_conductance(spec, 2, checkpoint_path=path)
     assert resumed.max_count == full.max_count
     assert resumed.witness_u == full.witness_u
@@ -153,8 +168,13 @@ def test_checkpoint_rejects_other_specs(tmp_path):
     other = random_table(9, 2, 2)
     with pytest.raises(CondlabError):
         exact_conductance(other, 2, checkpoint_path=path)
-    with pytest.raises(CondlabError):
-        exact_conductance(spec, 2, checkpoint_path=path, threads=2)
+    # a thread count is ignored, so it resumes the finished search as is
+    resumed = exact_conductance(spec, 2, checkpoint_path=path, threads=2)
+    serial = exact_conductance(spec, 2)
+    assert resumed.max_count == serial.max_count
+    assert resumed.witness_u == serial.witness_u
+    assert resumed.witness_v == serial.witness_v
+    assert resumed.boxes_examined == serial.boxes_examined
 
 
 def test_report_json_round_trip(tmp_path):
@@ -371,7 +391,7 @@ def test_checkpoint_witnesses_survive_non_improving_sessions(tmp_path):
     spec = random_table(5, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "chain.ckpt")
-    best, _, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 30, -1, None)
+    best, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 30, -1, None)
     write_checkpoint(path, spec, 2, 30, best, u_sides, v_sides, 30)
     for _ in range(2):  # second pass resumes an already-finished search
         report = exact_conductance(spec, 2, checkpoint_path=path,

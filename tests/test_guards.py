@@ -1,0 +1,87 @@
+"""Checks that must not disappear quietly: invariant checks under
+``python -O`` and the benchmark tracer's bindings into condlab."""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+OPTIMIZED_SCRIPT = """
+import json
+
+import condlab.conductance as conductance
+import condlab.gf2n as gf2n
+from condlab import Decomposition, PermutationSpec, PointSet
+
+
+def failure(fn):
+    try:
+        fn()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+real_greedy = conductance.greedy_box
+
+
+def over_reporting_greedy(points, q):
+    box, count = real_greedy(points, q)
+    return box, count + 1
+
+
+conductance.greedy_box = over_reporting_greedy
+heuristic = failure(
+    lambda: conductance.heuristic_lower_bound(PermutationSpec.pi1(2), 2, budget=3)
+)
+conductance.greedy_box = real_greedy
+
+empty = PointSet((), 2, 3)
+shared = PointSet([1, 2], 2, 3)
+dec = Decomposition(parts=(shared, empty, empty), r0=shared, r1=empty, n=2,
+                    w=3, alpha_n=1.0, eps1=0.25, eps2=0.25)
+validate = failure(dec.validate)
+
+gf2n.default_poly(3)  # cache the modulus, found with the real product
+real_mul = gf2n.mul_raw
+gf2n.mul_raw = lambda a, b, p: real_mul(a, b, p) ^ 1
+selfcheck = failure(lambda: gf2n.selfcheck(3))
+
+print(json.dumps({"debug": __debug__, "heuristic": heuristic,
+                  "validate": validate, "selfcheck": selfcheck}))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["debug"] is False  # assert statements really are stripped
+    assert "replays to" in seen["heuristic"]
+    assert "overlap" in seen["validate"]
+    assert "field axiom" in seen["selfcheck"]
+
+
+def test_benchmark_tracer_bindings_resolve(monkeypatch):
+    # a traced benchmark run reports a boundary it cannot bind as
+    # "unmeasured"; here an unbound name fails the suite instead
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    unbound = []
+    for boundary in tracing.BOUNDARIES:
+        for binding in boundary.bindings:
+            try:
+                tracing._resolve(binding)
+            except (ImportError, AttributeError):
+                unbound.append(binding)
+    assert unbound == []
