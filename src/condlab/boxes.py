@@ -4,18 +4,22 @@ A q-box is a product of w sides, each a size-q subset of {0,1}^n. Sides
 are stored sorted, so box identity, lexicographic enumeration order, and
 the cursor (one combination rank per side) are all well defined. Point
 sets are sorted tuples of packed integers; membership is a binary search.
+
+Points stay packed everywhere outside ``perms``: :func:`slices` is the
+one place a word is read out of them, grouping points by the value of
+one coordinate. Sides that must reach size q are filled by
+:func:`pad_side`, the lexicographically smallest completion.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, ShapeError
-from .perms import PermutationSpec, pack_words, unpack_words
+from .errors import BudgetError, RangeError, ShapeError
+from .perms import PermutationSpec, pack_words
 
 DEFAULT_ENUM_BUDGET = 10 ** 6
 DEFAULT_POINT_BUDGET = 1 << 22
@@ -67,7 +71,7 @@ class QBox:
 class PointSet:
     """An immutable set of points, stored as sorted packed integers."""
 
-    __slots__ = ("points", "n", "w", "_tuples")
+    __slots__ = ("points", "n", "w")
 
     def __init__(self, points, n: int, w: int):
         pts = sorted(points)
@@ -79,7 +83,6 @@ class PointSet:
         self.points = tuple(pts)
         self.n = n
         self.w = w
-        self._tuples = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -103,11 +106,27 @@ class PointSet:
     def __repr__(self):
         return f"PointSet({len(self.points)} points, n={self.n}, w={self.w})"
 
-    def word_tuples(self) -> list[tuple[int, ...]]:
-        """Unpacked word tuples, cached; same order as ``points``."""
-        if self._tuples is None:
-            self._tuples = [unpack_words(p, self.n, self.w) for p in self.points]
-        return self._tuples
+
+def slices(points, n: int, w: int, coord: int) -> dict[int, list[int]]:
+    """Word value -> the packed points whose word ``coord`` holds it, each
+    list in input order: the axis-aligned slices of one coordinate."""
+    shift = n * (w - 1 - coord)
+    mask = (1 << n) - 1
+    out = {}
+    for p in points:
+        out.setdefault((p >> shift) & mask, []).append(p)
+    return out
+
+
+def pad_side(values, q: int) -> tuple[int, ...]:
+    """``values`` plus the smallest values not among them, up to q, sorted:
+    the lexicographically smallest q-side that contains ``values``."""
+    side = set(values)
+    v = 0
+    while len(side) < q:
+        side.add(v)
+        v += 1
+    return tuple(sorted(side))
 
 
 # --- combination ranking (lexicographic, matches itertools.combinations) --
@@ -118,8 +137,9 @@ def combination_rank(combo, universe: int) -> int:
     prev = -1
     k = len(combo)
     for i, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            r += comb(universe - v - 1, k - i - 1)
+        # hockey-stick identity: the combinations whose i-th value lies in
+        # (prev, c) number C(universe-prev-1, k-i) - C(universe-c, k-i)
+        r += comb(universe - prev - 1, k - i) - comb(universe - c, k - i)
         prev = c
     return r
 
@@ -130,15 +150,20 @@ def combination_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
         raise ValueError(f"rank {rank} out of range for C({universe},{k})")
     out = []
     v = 0
-    for i in range(k):
-        while True:
-            c = comb(universe - v - 1, k - i - 1)
-            if rank < c:
-                break
-            rank -= c
-            v += 1
-        out.append(v)
-        v += 1
+    for left in range(k, 0, -1):
+        # C(universe - u, left) of the remaining combinations take their next
+        # value at u or later; binary-search the largest u whose tail holds rank
+        tail = comb(universe - v, left)
+        lo, hi = v, universe - left
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if tail - comb(universe - mid, left) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= tail - comb(universe - lo, left)
+        out.append(lo)
+        v = lo + 1
     return tuple(out)
 
 
@@ -204,6 +229,8 @@ def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
     budget applies since the caller bounds the range.
     """
     _check_box_params(n, q, w)
+    if start < 0:
+        raise RangeError(f"box rank {start} is negative")
     sides = list(itertools.combinations(range(1 << n), q))
     radix = len(sides)
     stop = min(stop, radix ** w)
@@ -238,17 +265,14 @@ def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_B
 
 def intersection_count(points: PointSet, box: QBox) -> int:
     """|points ∩ box|: points whose i-th word lies in side i for all i."""
-    if box.n != points.n or box.w != points.w:
+    n, w = points.n, points.w
+    if box.n != n or box.w != w:
         raise ShapeError("point set and box shapes disagree")
-    sides = [frozenset(s) for s in box.sides]
-    count = 0
-    for tup in points.word_tuples():
-        for side, wd in zip(sides, tup):
-            if wd not in side:
-                break
-        else:
-            count += 1
-    return count
+    pts = points.points
+    for i, side in enumerate(box.sides):
+        by_value = slices(pts, n, w, i)
+        pts = [p for v in side for p in by_value.get(v, ())]
+    return len(pts)
 
 
 def covering_box(points: PointSet, q: int) -> QBox:
@@ -261,56 +285,43 @@ def covering_box(points: PointSet, q: int) -> QBox:
     _check_box_params(points.n, q, points.w)
     if not points:
         raise ShapeError("cannot build a covering box for an empty set")
-    chosen = points.word_tuples()[:q]
-    sides = []
-    for i in range(points.w):
-        vals = {t[i] for t in chosen}
-        pad = 0
-        while len(vals) < q:
-            if pad not in vals:
-                vals.add(pad)
-            pad += 1
-        sides.append(tuple(sorted(vals)))
-    return QBox(tuple(sides), points.n)
+    n, w = points.n, points.w
+    chosen = points.points[:q]
+    return QBox(tuple(pad_side(slices(chosen, n, w, i), q) for i in range(w)), n)
 
 
 def greedy_box(points: PointSet, q: int) -> tuple[QBox, int]:
     """Greedy dense q-box for a point set: top-q most frequent values per
     coordinate (ties to the smaller value), then first-improvement
-    1-swaps until no single side swap raises the count. Deterministic."""
+    1-swaps until no single side swap raises the count. Deterministic.
+
+    Only values that occur are ranked: every other value has frequency 0,
+    so padding with the smallest unused values picks the same side as
+    ranking the whole alphabet. A swap on side i changes the count by the
+    difference of two slice sizes among the points inside every other
+    side, so one pass per side prices all of its swaps."""
     _check_box_params(points.n, q, points.w)
     n, w = points.n, points.w
-    tuples = points.word_tuples()
-    occurring = [sorted({t[i] for t in tuples}) for i in range(w)]
     sides = []
     for i in range(w):
-        freq = Counter(t[i] for t in tuples)
-        ranked = sorted(range(1 << n), key=lambda v: (-freq[v], v))
-        sides.append(sorted(ranked[:q]))
-    box = QBox(tuple(tuple(s) for s in sides), n)
-    best = intersection_count(points, box)
+        by_value = slices(points.points, n, w, i)
+        ranked = sorted(by_value, key=lambda v: (-len(by_value[v]), v))
+        sides.append(pad_side(ranked[:q], q))
 
-    improved = True
-    while improved:
-        improved = False
-        for i in range(w):
-            side = set(box.sides[i])
-            # only values that occur in the set can strictly improve
-            for v_out in sorted(side):
-                for v_in in occurring[i]:
-                    if v_in in side:
-                        continue
-                    new_side = tuple(sorted(side - {v_out} | {v_in}))
-                    cand = QBox(
-                        box.sides[:i] + (new_side,) + box.sides[i + 1:], n
-                    )
-                    c = intersection_count(points, cand)
-                    if c > best:
-                        box, best = cand, c
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+    while True:
+        for i, side in enumerate(sides):
+            inside = points.points
+            for j in range(w):
+                if j != i:
+                    by_value = slices(inside, n, w, j)
+                    inside = [p for v in sides[j] for p in by_value.get(v, ())]
+            sizes = {v: len(ps) for v, ps in sorted(slices(inside, n, w, i).items())}
+            swap = next(((v_out, v_in) for v_out in side for v_in in sizes
+                         if v_in not in side and sizes[v_in] > sizes.get(v_out, 0)), None)
+            if swap:
+                sides[i] = tuple(sorted(set(side) - {swap[0]} | {swap[1]}))
                 break
-    return box, best
+        else:
+            break  # no side has an improving swap
+    box = QBox(tuple(sides), n)
+    return box, intersection_count(points, box)

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .boxes import PointSet, QBox, image_of_box
+from .boxes import PointSet, QBox, image_of_box, slices
 from .errors import RangeError, ShapeError, UndefinedEntropyError
-from .perms import PermutationSpec, unpack_words
+from .perms import PermutationSpec
 
 PROBABILITY_TOLERANCE = 1e-12
 
@@ -243,7 +242,7 @@ class Decomposition:
                 raise AssertionError(f"kept part {i} has only {len(part)} points")
             cut_e = cut_exponent(self.alpha_n, self.w, self.eps1, self.eps2)
             shift = (1 + self.eps1) * self.alpha_n
-            for _, count in slice_sizes(part, i).items():
+            for count in map(len, slices(part.points, self.n, self.w, i).values()):
                 if not size_below(count, cut_e):
                     raise AssertionError("slice at/over cut threshold")
                 if not _scaled_below(count, shift, len(part)):
@@ -306,14 +305,6 @@ class Decomposition:
         )
 
 
-def slice_sizes(points: PointSet, coord: int) -> dict:
-    """Value -> slice size along one coordinate."""
-    sizes = defaultdict(int)
-    for t in points.word_tuples():
-        sizes[t[coord]] += 1
-    return dict(sizes)
-
-
 def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Decomposition:
     """Run the slice-cutting procedure on a point set.
 
@@ -329,10 +320,8 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
     cut_e = cut_exponent(alpha_n, w, eps1, eps2)
     keep_e = keep_exponent(alpha_n, w, eps2)
 
-    groups = [defaultdict(set) for _ in range(w)]
-    for p, t in zip(points.points, points.word_tuples()):
-        for i in range(w):
-            groups[i][t[i]].add(p)
+    groups = [{y: set(ps) for y, ps in slices(points.points, n, w, i).items()}
+              for i in range(w)]
 
     piles = [[] for _ in range(w)]
     log = []
@@ -353,13 +342,12 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
         cut = sorted(groups[i][y])
         log.append((iteration, i, y, len(cut)))
         piles[i].extend(cut)
-        for p in cut:
-            t = unpack_words(p, n, w)
-            for j in range(w):
-                bucket = groups[j][t[j]]
-                bucket.discard(p)
+        for j in range(w):
+            for v, gone in slices(cut, n, w, j).items():
+                bucket = groups[j][v]
+                bucket.difference_update(gone)
                 if not bucket:
-                    del groups[j][t[j]]
+                    del groups[j][v]
 
     remaining = sorted(p for bucket in groups[0].values() for p in bucket)
     r1 = []
@@ -459,7 +447,7 @@ def verify_converse_bounds(dec: Decomposition, eps3: float, *,
 
         source = dec.source_points()
         if len(source):
-            max_int, _ = _best_box_bnb(source.word_tuples(), dec.n, w, q)
+            max_int, _ = _best_box_bnb(source.points, dec.n, w, q)
             checked = True
     elif max_int is not None:
         checked = True
@@ -570,8 +558,7 @@ class CondenserProfile:
 def coordinate_min_entropy(part: PointSet, coord: int) -> tuple[int, float]:
     """(fattest slice size, min-entropy in bits of coordinate ``coord`` of
     the uniform distribution on ``part``)."""
-    sizes = slice_sizes(part, coord)
-    fattest = max(sizes.values())
+    fattest = max(map(len, slices(part.points, part.n, part.w, coord).values()))
     return fattest, math.log2(len(part)) - math.log2(fattest)
 
 

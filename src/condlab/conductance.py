@@ -30,7 +30,6 @@ import math
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -45,6 +44,7 @@ from .boxes import (
     image_of_box,
     intersection_count,
     rank_to_digits,
+    slices,
     _check_box_params,
 )
 from .errors import BudgetError, CondlabError, RangeError, ShapeError
@@ -130,21 +130,14 @@ def replay_witness(spec: PermutationSpec, report: ConductanceReport) -> int:
 # --- inner maximization: densest q-box over a point set -------------------
 
 
-def _top_q_sum(tuples, coord: int, q: int) -> int:
-    freq = Counter(t[coord] for t in tuples)
-    if len(freq) <= q:
-        return len(tuples)
-    return sum(sorted(freq.values(), reverse=True)[:q])
-
-
-def _best_box_bnb(tuples, n: int, w: int, q: int, incumbent: int = -1,
+def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
                   node_budget: int | None = None):
-    """Exact max of |tuples ∩ V| over q-boxes V, beating ``incumbent``.
+    """Exact max of |points ∩ V| over q-boxes V, beating ``incumbent``.
 
-    Returns (count, sides) where sides is None when nothing beats the
-    incumbent. Visits per-coordinate subsets in lexicographic order and
-    updates only on strict improvement, so the returned sides are the
-    lexicographically smallest maximizer.
+    ``points`` are packed. Returns (count, sides) where sides is None when
+    nothing beats the incumbent. Visits per-coordinate subsets in
+    lexicographic order and updates only on strict improvement, so the
+    returned sides are the lexicographically smallest maximizer.
     """
     all_sides = list(itertools.combinations(range(1 << n), q))
     best = incumbent
@@ -164,17 +157,19 @@ def _best_box_bnb(tuples, n: int, w: int, q: int, incumbent: int = -1,
                 best = len(pts)
                 best_sides = tuple(chosen)
             return
-        bound = min(_top_q_sum(pts, j, q) for j in range(depth, w))
+        # a q-box keeps at most the q fattest slices of each coordinate
+        groups = [slices(pts, n, w, j) for j in range(depth, w)]
+        bound = min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
         if bound <= best:
             return
+        by_value = groups[0]
         for side in all_sides:
-            in_side = set(side).__contains__
-            sub = [t for t in pts if in_side(t[depth])]
+            sub = [p for v in side for p in by_value.get(v, ())]
             if len(sub) <= best:
                 continue
             visit(depth + 1, sub, chosen + (side,))
 
-    visit(0, list(tuples), ())
+    visit(0, points, ())
     return best, best_sides
 
 
@@ -185,7 +180,7 @@ def best_V_for_U(points: PointSet, q: int,
         raise ShapeError("cannot maximize over an empty point set")
     _check_box_params(points.n, q, points.w)
     count, sides = _best_box_bnb(
-        points.word_tuples(), points.n, points.w, q, node_budget=node_budget
+        points.points, points.n, points.w, q, node_budget=node_budget
     )
     return QBox(sides, points.n), count
 
@@ -222,7 +217,7 @@ def _scan_range(spec, q, start, stop, incumbent, inner_node_budget,
         img = image_of_box(spec, ubox)
         try:
             count, sides = _best_box_bnb(
-                img.word_tuples(), spec.n, spec.w, q, incumbent=best,
+                img.points, spec.n, spec.w, q, incumbent=best,
                 node_budget=inner_node_budget,
             )
         except BudgetError:
@@ -270,7 +265,14 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
             raise CondlabError(
                 f"checkpoint {checkpoint_path} belongs to a different search"
             )
-        start = digits_to_rank(ck["cursor"], comb(1 << spec.n, q))
+        radix = comb(1 << spec.n, q)
+        start = digits_to_rank(ck["cursor"], radix)
+        # the cursor spells a rank in [0, total]; past box 0 a run holds an
+        # incumbent with both witnesses
+        if (not 0 <= start <= total or rank_to_digits(start, radix, spec.w) != ck["cursor"]
+                or start and (ck["max_count"] < 1 or None in (ck["witness_u"], ck["witness_v"]))):
+            raise CondlabError(f"checkpoint {checkpoint_path} holds an invalid cursor "
+                               f"{ck['cursor']} or incumbent max_count={ck['max_count']}")
         incumbent = ck["max_count"]
         resumed_u, resumed_v = ck["witness_u"], ck["witness_v"]
         examined_before = ck["boxes_examined"]

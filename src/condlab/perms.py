@@ -207,32 +207,30 @@ class PermutationSpec:
     # --- evaluation ------------------------------------------------------
 
     def apply_packed(self, x: int) -> int:
-        """Forward map on a packed point."""
+        """Forward map on a packed point of the domain. Words are read by
+        shift and mask, and each product is XOR-ed into its word's place."""
         n, w = self.n, self.w
         kind = self.kind
         if kind == "identity":
             return x
         if kind in ("random", "table"):
             return self.table[x]
-        words = list(unpack_words(x, n, w))
         p = self.poly.poly
-        if kind == "pi1":
-            words[2] ^= mul_raw(words[0], words[1], p)
-        elif kind == "pi2":
-            words[1] ^= mul_raw(words[0], words[2], p)
-        elif kind == "pi3":
-            if words[0] & 1:
-                words[1] ^= mul_raw(words[0], words[2], p)
-            else:
-                words[2] ^= mul_raw(words[0], words[1], p)
-        elif kind == "bothmix":
-            a, b, c = words
-            words[1] = mul_raw(a, b, p) ^ c
-            words[2] = mul_raw(a, c, p) ^ b
-        elif kind == "piw":
+        mask = (1 << n) - 1
+        if kind == "piw":
             for i in range(0, w - w % 3, 3):
-                words[i + 2] ^= mul_raw(words[i], words[i + 1], p)
-        return pack_words(words, n)
+                lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
+                a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
+                x ^= mul_raw(a, b, p) << lo
+            return x
+        a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
+        if kind == "pi1" or (kind == "pi3" and not a & 1):
+            return x ^ mul_raw(a, b, p)
+        if kind in ("pi2", "pi3"):
+            return x ^ (mul_raw(a, c, p) << n)
+        # bothmix, (a, b, c) -> (a, a*b + c, a*c + b): word 1 gains a*b + b + c
+        # and word 2 gains a*c + b + c
+        return x ^ ((mul_raw(a, b, p) ^ b ^ c) << n) ^ mul_raw(a, c, p) ^ b ^ c
 
     def invert_packed(self, y: int) -> int:
         """Preimage of a packed point. pi1/pi2/pi3/piw are their own

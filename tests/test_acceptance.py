@@ -22,7 +22,13 @@ from condlab.conductance import (
 )
 from condlab.condenser import decompose, verify_converse_bounds
 from condlab.gf2n import FieldElement, default_poly, gf_mul
-from condlab.perms import PermutationSpec, pack_words, random_table, verify_bijective
+from condlab.perms import (
+    PermutationSpec,
+    pack_words,
+    random_table,
+    unpack_words,
+    verify_bijective,
+)
 
 from naive_oracle import identity_table, naive_max_count, pi1_table, pi3_table
 from test_gf2n import schoolbook_mul
@@ -200,8 +206,9 @@ def test_criterion_6_decomposition_invariants():
                 kept_seen += 1
                 assert len(part) > keep_limit
                 slice_counts = {}
-                for t in part.word_tuples():
-                    slice_counts[t[i]] = slice_counts.get(t[i], 0) + 1
+                for p in part.points:
+                    y = unpack_words(p, 2, 3)[i]
+                    slice_counts[y] = slice_counts.get(y, 0) + 1
                 for count in slice_counts.values():
                     assert count < cut_limit
                     assert count < 2.0 ** (-(1 + eps1) * alpha_n) * len(part)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -22,9 +23,11 @@ from condlab.boxes import (
     greedy_box,
     image_of_box,
     intersection_count,
+    pad_side,
+    slices,
 )
-from condlab.errors import BudgetError, ShapeError
-from condlab.perms import PermutationSpec, pack_words, random_table
+from condlab.errors import BudgetError, RangeError, ShapeError
+from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 
 def test_enumeration_counts():
@@ -60,6 +63,13 @@ def test_combination_rank_unrank_round_trip():
         for rank, combo in enumerate(itertools.combinations(range(universe), k)):
             assert combination_rank(combo, universe) == rank
             assert combination_unrank(rank, universe, k) == combo
+    # ranks over a 2^64 alphabet, without walking it
+    universe = 1 << 64
+    last = tuple(range(universe - 4, universe))
+    assert combination_unrank(comb(universe, 4) - 1, universe, 4) == last
+    assert combination_rank(last, universe) == comb(universe, 4) - 1
+    for rank in (0, 1, 12345678901234567890, comb(universe, 4) // 3):
+        assert combination_rank(combination_unrank(rank, universe, 4), universe) == rank
 
 
 def test_global_rank_round_trip_and_range_enumeration():
@@ -68,6 +78,8 @@ def test_global_rank_round_trip_and_range_enumeration():
         assert global_rank(box) == rank
         assert box_at_rank(rank, 2, 2, 2) == box
     assert list(enumerate_qboxes_range(2, 2, 2, 7, 13)) == boxes[7:13]
+    with pytest.raises(RangeError):
+        list(enumerate_qboxes_range(2, 2, 2, -1, 3))
     assert list(enumerate_qboxes_range(2, 2, 2, 30, 99)) == boxes[30:]
     assert list(enumerate_qboxes_range(2, 2, 2, 5, 5)) == []
 
@@ -202,3 +214,37 @@ def test_greedy_box_never_beats_exhaustive():
             intersection_count(ps, box) for box in enumerate_qboxes(2, 2, 3)
         )
         assert count <= best
+
+
+def test_slices_hold_every_point_once_under_its_word_in_input_order():
+    rng = random.Random(5)
+    n, w = 3, 4
+    points = rng.sample(range(1 << n * w), 300)
+    for coord in range(w):
+        by_value = slices(points, n, w, coord)
+        assert sorted(p for members in by_value.values() for p in members) == sorted(points)
+        for value, members in by_value.items():
+            assert members == [p for p in points if unpack_words(p, n, w)[coord] == value]
+    assert slices([], n, w, 0) == {}
+
+
+def test_pad_side_is_the_smallest_completion():
+    assert pad_side((5, 1), 4) == (0, 1, 2, 5)
+    assert pad_side((), 2) == (0, 1)
+    assert pad_side({3, 0, 2}, 3) == (0, 2, 3)
+
+
+def test_greedy_box_memory_does_not_grow_with_the_alphabet():
+    # four points at n = 20: ranking all 2^20 values per coordinate
+    # would take tens of MB
+    n = 20
+    ps = PointSet([pack_words(t, n) for t in ((1, 2, 3), (1, 5, 3), (7, 2, 9), (1 << 19, 0, 4))],
+                  n, 3)
+    tracemalloc.start()
+    try:
+        box, count = greedy_box(ps, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert count == intersection_count(ps, box) == 2

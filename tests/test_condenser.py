@@ -195,7 +195,7 @@ def test_find_bottleneck_matches_naive_scan_on_pi1_images():
         img = image_of_box(spec, box)
         naive = None
         for i in range(3):
-            sizes = Counter(t[i] for t in img.word_tuples())
+            sizes = Counter(unpack_words(p, 2, 3)[i] for p in img.points)
             for y in sorted(sizes):
                 if 0 < sizes[y] < 2.0:
                     naive = (i, y)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from condlab.boxes import (
     image_of_box,
     intersection_count,
 )
+from condlab.cli import main as cli_main
 from condlab.conductance import (
     ConductanceReport,
     best_V_for_U,
@@ -350,6 +355,37 @@ def test_precondition_equivalence_on_grid():
                 assert sheet.precondition_agree, (n, w, q)
                 points += 1
     assert points >= 50
+
+
+@pytest.mark.parametrize("cursor, max_count", [
+    ("(-1,3)", None),  # a negative rank, which would wrap the odometer
+    ("(0,99)", None),  # digit over the radix 6: rank 99 of 36
+    ("(6,0)", "-1"),   # the exhausted cursor with no incumbent
+])
+def test_checkpoint_rejects_invalid_cursor(tmp_path, cursor, max_count):
+    spec = random_table(8, 2, 2)
+    path = tmp_path / "hand.ckpt"
+    exact_conductance(spec, 2, checkpoint_path=str(path))
+    fields = dict(line.split("=", 1) for line in path.read_text().splitlines()[1:])
+    fields["cursor"] = cursor
+    fields["max_count"] = max_count or fields["max_count"]
+    path.write_text("condlab-ckpt v1\n" + "".join(f"{k}={v}\n" for k, v in fields.items()))
+    with pytest.raises(CondlabError, match="hand.ckpt"):
+        exact_conductance(spec, 2, checkpoint_path=str(path))
+    assert cli_main(["cond", "--spec", "random", "--seed", "8", "--n", "2", "--w", "2",
+                     "--q", "2", "--mode", "exact", "--checkpoint", str(path)]) == 1
+
+
+def test_heuristic_at_n64_does_not_walk_the_alphabet():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "condlab", "cond", "--spec", "pi1", "--n", "64", "--w", "3",
+         "--q", "4", "--mode", "heuristic", "--budget", "20", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mode=heuristic witnesses=yes" in proc.stdout
 
 
 def test_checkpoint_file_format(tmp_path):

@@ -59,6 +59,17 @@ def test_pi2_formula():
         assert out.words == (a, b ^ mul_raw(a, c, poly), c)
 
 
+@pytest.mark.parametrize("kind", ["pi1", "bothmix"])
+def test_apply_packed_closed_form_exhaustive(kind):
+    n = 3
+    spec = PermutationSpec(kind, n, 3)
+    poly = default_poly(n).poly
+    for a, b, c in itertools.product(range(1 << n), repeat=3):
+        ab, ac = mul_raw(a, b, poly), mul_raw(a, c, poly)
+        want = (a, b, c ^ ab) if kind == "pi1" else (a, ab ^ c, ac ^ b)
+        assert spec.apply_packed(pack_words((a, b, c), n)) == pack_words(want, n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pi3_branches_on_first_word_parity(n):
     pi1 = PermutationSpec.pi1(n)
