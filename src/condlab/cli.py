@@ -130,6 +130,8 @@ def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
     if need_spec:
         if cfg.spec_kind == "table" and not getattr(args, "table_file", None):
             issues.append("--table-file is required for table specs")
+        if cfg.spec_kind != "table" and cfg.n is None:
+            issues.append(f"--n is required for --spec {cfg.spec_kind}")
         if cfg.spec_kind in TRIPLE_KINDS:
             if cfg.w not in (None, 3):
                 issues.append(f"--spec {cfg.spec_kind} requires --w 3")
@@ -152,10 +154,12 @@ def _build_spec(args, cfg: RunConfig) -> PermutationSpec:
         return random_table(args.seed, cfg.n, cfg.w)
     if kind == "table":
         spec = load_table_file(args.table_file)
-        if cfg.n is not None and (spec.n != cfg.n or spec.w != cfg.w):
+        # the file fixes the shape; compare only the flags that were given
+        flags = {k: v for k, v in (("n", cfg.n), ("w", cfg.w)) if v is not None}
+        if any(getattr(spec, k) != v for k, v in flags.items()):
+            said = ", ".join(f"{k}={v}" for k, v in flags.items())
             raise _UsageError(
-                f"table file has shape (n={spec.n}, w={spec.w}), flags say "
-                f"(n={cfg.n}, w={cfg.w})"
+                f"table file has shape (n={spec.n}, w={spec.w}), flags say ({said})"
             )
         return spec
     return PermutationSpec(kind, cfg.n, cfg.w)
@@ -473,6 +477,8 @@ def _add_common(p, *, n=True, w=True, seed=False, threads=False, out=False):
 def _add_spec_args(p):
     p.add_argument("--spec", required=True, choices=KINDS)
     p.add_argument("--table-file", help="permutation table file for --spec table")
+    # required for every kind but table, whose file fixes n and w
+    p.add_argument("--n", type=int, help="field degree")
 
 
 def build_parser() -> _Parser:
@@ -489,25 +495,25 @@ def build_parser() -> _Parser:
     perm_sub = p_perm.add_subparsers(dest="perm_command", required=True)
     p_verify = perm_sub.add_parser("verify", help="exhaustive bijectivity scan")
     _add_spec_args(p_verify)
-    _add_common(p_verify, seed=True, out=True)
+    _add_common(p_verify, n=False, seed=True, out=True)
     p_verify.add_argument("--budget-bits", type=int, default=24)
     p_verify.set_defaults(handler=cmd_perm_verify)
     for name, inverse in (("eval", False), ("invert", True)):
         p_e = perm_sub.add_parser(name, help=f"{name} one point")
         _add_spec_args(p_e)
-        _add_common(p_e, seed=True)
+        _add_common(p_e, n=False, seed=True)
         p_e.add_argument("--point", required=True,
                          help="comma-separated hex words")
         p_e.set_defaults(handler=lambda a, inv=inverse: cmd_perm_eval(a, inv))
     p_exp = perm_sub.add_parser("export-table", help="write a table file")
     _add_spec_args(p_exp)
-    _add_common(p_exp, seed=True)
+    _add_common(p_exp, n=False, seed=True)
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(handler=cmd_perm_export)
 
     p_cond = sub.add_parser("cond", help="conductance search")
     _add_spec_args(p_cond)
-    _add_common(p_cond, seed=True, threads=True, out=True)
+    _add_common(p_cond, n=False, seed=True, threads=True, out=True)
     p_cond.add_argument("--q", type=int, help="side size")
     p_cond.add_argument("--alpha-n", type=float, dest="alpha_n",
                         help="log2 of the side size")
@@ -520,7 +526,7 @@ def build_parser() -> _Parser:
 
     p_dec = sub.add_parser("decompose", help="partition a box image")
     _add_spec_args(p_dec)
-    _add_common(p_dec, seed=True, out=True)
+    _add_common(p_dec, n=False, seed=True, out=True)
     p_dec.add_argument("--q", type=int)
     p_dec.add_argument("--alpha-n", type=float, dest="alpha_n")
     p_dec.add_argument("--eps1", type=float)
@@ -534,7 +540,7 @@ def build_parser() -> _Parser:
     p_prof = sub.add_parser("condenser-profile",
                             help="decomposition statistics over random boxes")
     _add_spec_args(p_prof)
-    _add_common(p_prof, seed=True, threads=True, out=True)
+    _add_common(p_prof, n=False, seed=True, threads=True, out=True)
     p_prof.add_argument("--q", type=int)
     p_prof.add_argument("--alpha-n", type=float, dest="alpha_n")
     p_prof.add_argument("--eps1", type=float)

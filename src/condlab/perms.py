@@ -21,6 +21,12 @@ Named constructions (w = 3 unless noted):
 
 Arithmetic is GF(2^n) under the pinned default modulus unless a spec is
 built with an explicit one.
+
+Single points go through ``apply_packed``, in pure Python. The passes
+over the whole domain (``verify_bijective``, ``write_table_file`` and
+the inverse of a table) evaluate blocks of ascending inputs as numpy
+arrays instead, and import numpy only when they run, so the per-point
+layers above (box images, the searches, the condenser) never load it.
 """
 
 from __future__ import annotations
@@ -138,6 +144,9 @@ class PermutationSpec:
 
     def _check_table_bijective(self):
         size = len(self.table)
+        if min(self.table) >= 0 and max(self.table) < size and len(set(self.table)) == size:
+            return
+        # name the first fault in input order
         first_seen = {}
         for x, y in enumerate(self.table):
             if not 0 <= y < size:
@@ -242,20 +251,28 @@ class PermutationSpec:
             return y
         if kind in ("random", "table"):
             if self._inverse is None:
-                inv = [-1] * len(self.table)
-                for x, out in enumerate(self.table):
-                    if inv[out] != -1:
-                        raise NotAPermutationError(
-                            f"table is not bijective: output {out:#x} has "
-                            f"two preimages",
-                            witness=(inv[out], x),
-                        )
-                    inv[out] = x
-                self._inverse = tuple(inv)
+                self._inverse = self._table_inverse()
             return self._inverse[y]
         if kind == "bothmix":
             return self._bothmix_invert(y)
         return self.apply_packed(y)
+
+    def _table_inverse(self) -> tuple[int, ...]:
+        """The inverse table, scattered in one numpy pass; a table with a
+        repeated output raises with the first collision as witness."""
+        import numpy as np
+
+        size = len(self.table)
+        inv = np.full(size, -1, dtype=np.int64)
+        inv[np.array(self.table, dtype=np.int64)] = np.arange(size)
+        if (inv < 0).any():  # size entries left a slot empty: a collision
+            x0, x = _first_collision(self)
+            raise NotAPermutationError(
+                f"table is not bijective: output {self.table[x]:#x} has "
+                f"two preimages",
+                witness=(x0, x),
+            )
+        return tuple(inv.tolist())
 
     def _bothmix_invert(self, y: int) -> int:
         from .gf2n import FieldElement, gf_inv
@@ -318,9 +335,9 @@ class BijectivityReport:
 def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET_BITS) -> BijectivityReport:
     """Exhaustively decide whether ``spec`` is a bijection.
 
-    Scans every input in ascending packed order; on the first repeated
-    output the earlier preimage is recovered by a bounded rescan so the
-    report carries a colliding pair as witness.
+    Scans every input in ascending packed order, a block at a time
+    (:func:`_first_collision`); on the first repeated output the report
+    carries that input and its earlier preimage as the witness.
     """
     bits = spec.domain_bits
     if bits > budget_bits:
@@ -329,17 +346,92 @@ def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET
             f"budget; spot-check with sampled eval/invert round trips instead",
             refused=1 << bits,
         )
-    size = 1 << bits
-    seen = bytearray(size)
-    for x in range(size):
-        y = spec.apply_packed(x)
-        if seen[y]:
-            for x0 in range(x):
-                if spec.apply_packed(x0) == y:
-                    return BijectivityReport(False, x + 1, spec.n, spec.w, (x0, x))
-            raise AssertionError("collision flagged but preimage not found")
-        seen[y] = 1
-    return BijectivityReport(True, size, spec.n, spec.w)
+    collision = _first_collision(spec)
+    if collision is None:
+        return BijectivityReport(True, 1 << bits, spec.n, spec.w)
+    return BijectivityReport(False, collision[1] + 1, spec.n, spec.w, collision)
+
+
+# --- whole-domain passes (numpy, imported per call; see the module docstring)
+
+_BLOCK = 1 << 18  # inputs per block of a whole-domain pass
+
+
+def _block_evaluator(spec: PermutationSpec):
+    """Return ``outputs(start, stop)``: the images of the inputs
+    ``start..stop-1`` as a numpy uint64 array. The pass's lookup is built
+    once here: the table itself, or for the algebraic kinds the
+    2^n x 2^n product table of the field (from ``mul_raw``), so each
+    output is a gather plus the shifts and XORs of :meth:`apply_packed`."""
+    import numpy as np
+
+    kind, n, w = spec.kind, spec.n, spec.w
+    if kind == "identity":
+        return lambda start, stop: np.arange(start, stop, dtype=np.uint64)
+    if kind in ("random", "table"):
+        table = np.array(spec.table, dtype=np.uint64)
+        return lambda start, stop: table[start:stop]
+    p = spec.poly.poly
+    words = range(1 << n)
+    products = np.array([mul_raw(a, b, p) for a in words for b in words], dtype=np.uint64)
+    mask = (1 << n) - 1
+
+    def mul(a, b):
+        return products[(a << n) | b]
+
+    def outputs(start, stop):
+        x = np.arange(start, stop, dtype=np.uint64)
+        if kind == "piw":
+            for i in range(0, w - w % 3, 3):
+                lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
+                a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
+                x ^= mul(a, b) << lo
+            return x
+        a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
+        if kind == "pi1":
+            return x ^ mul(a, b)
+        if kind == "pi2":
+            return x ^ (mul(a, c) << n)
+        if kind == "pi3":
+            return x ^ np.where(a & 1, mul(a, c) << n, mul(a, b))
+        # bothmix: word 1 gains a*b + b + c and word 2 gains a*c + b + c
+        return x ^ ((mul(a, b) ^ b ^ c) << n) ^ mul(a, c) ^ b ^ c
+
+    return outputs
+
+
+def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
+    """The first input ``x`` in ascending order whose output an earlier
+    input ``x0`` already had, as ``(x0, x)``; None for a bijection.
+
+    ``owner`` holds, per output, one plus the input that produced it (0:
+    not yet seen). A block is clean when none of its outputs had an owner
+    and each output reads back its own input after the scatter. Only the
+    block holding the first repeat is walked point by point; ``x0`` is
+    unique there because no collision comes before ``x``.
+    """
+    import numpy as np
+
+    size = 1 << spec.domain_bits
+    outputs = _block_evaluator(spec)
+    owner = np.zeros(size, dtype=np.uint32 if spec.domain_bits < 32 else np.uint64)
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        ys = outputs(start, stop)
+        tags = np.arange(start + 1, stop + 1, dtype=owner.dtype)
+        earlier = owner[ys]
+        owner[ys] = tags
+        if not earlier.any() and (owner[ys] == tags).all():
+            continue
+        first = {}
+        for x, y, tag in zip(range(start, stop), ys.tolist(), earlier.tolist()):
+            if tag:
+                return (tag - 1, x)
+            if y in first:
+                return (first[y], x)
+            first[y] = x
+        raise AssertionError("collision flagged but preimage not found")
+    return None
 
 
 # --- permutation table files ---------------------------------------------
@@ -361,11 +453,21 @@ def write_table_file(spec: PermutationSpec, path) -> None:
             f"{EXHAUSTIVE_BUDGET_BITS}-bit budget",
             refused=1 << bits,
         )
+    import numpy as np
+
     digits = _hex_digits(bits)
-    with open(path, "w") as fh:
-        fh.write(f"condlab-table v1 n={spec.n} w={spec.w}\n")
-        for x in range(1 << bits):
-            fh.write(f"{spec.apply_packed(x):0{digits}x}\n")
+    size = 1 << bits
+    outputs = _block_evaluator(spec)
+    hex_chars = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)  # high nibble first
+    with open(path, "wb") as fh:
+        fh.write(f"condlab-table v1 n={spec.n} w={spec.w}\n".encode())
+        for start in range(0, size, _BLOCK):
+            ys = outputs(start, min(start + _BLOCK, size))
+            lines = np.empty((len(ys), digits + 1), dtype=np.uint8)
+            lines[:, :digits] = hex_chars[(ys[:, None] >> shifts) & 15]
+            lines[:, digits] = ord("\n")
+            fh.write(lines.tobytes())
 
 
 def load_table_file(path) -> PermutationSpec:

@@ -47,6 +47,32 @@ def test_perm_export_table_round_trip(tmp_path, capsys):
     assert "bijective=yes" in capsys.readouterr().out
 
 
+def test_table_spec_takes_its_shape_from_the_file(tmp_path, capsys):
+    path = tmp_path / "perm.tbl"
+    assert run("perm", "export-table", "--spec", "random", "--seed", "9",
+               "--n", "2", "--w", "3", "--out", str(path)) == 0
+    capsys.readouterr()
+    table = ("--spec", "table", "--table-file", str(path))
+    for command in (("perm", "verify") + table,
+                    ("cond",) + table + ("--q", "2", "--mode", "exact")):
+        outputs = []
+        for shape in ((), ("--n", "2", "--w", "3"), ("--n", "2"), ("--w", "3")):
+            assert run(*command, *shape) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1 and outputs[0]
+        assert run(*command, "--n", "3") == 1
+        assert "flags say (n=3)" in capsys.readouterr().err
+        assert run(*command, "--n", "2", "--w", "2") == 1
+        assert "flags say (n=2, w=2)" in capsys.readouterr().err
+
+
+def test_missing_n_is_an_aggregated_usage_error(capsys):
+    assert run("cond", "--spec", "pi1", "--q", "0") == 1
+    err = capsys.readouterr().err
+    assert "--n is required for --spec pi1" in err and "--q must be at least 1" in err
+    assert err.count("error:") == 1
+
+
 def test_cond_exact_report_round_trips(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run("cond", "--spec", "pi1", "--n", "2", "--w", "3", "--q", "2",

@@ -1,5 +1,6 @@
 """Checks that must not disappear quietly: invariant checks under
-``python -O`` and the benchmark tracer's bindings into condlab."""
+``python -O``, the benchmark tracer's bindings into condlab, and numpy
+staying out of the per-point paths."""
 
 import json
 import os
@@ -85,3 +86,38 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
             except (ImportError, AttributeError):
                 unbound.append(binding)
     assert unbound == []
+
+
+NUMPY_SCRIPT = """
+import json, sys, tempfile, os
+
+from condlab import (PermutationSpec, decompose, exact_conductance,
+                     heuristic_lower_bound, image_of_box, random_table,
+                     verify_bijective, verify_converse_bounds)
+from condlab.boxes import QBox
+
+loaded = {}
+spec = random_table(5, 3, 3)
+small = random_table(6, 2, 3)
+with tempfile.TemporaryDirectory() as tmp:
+    exact_conductance(small, 2, checkpoint_path=os.path.join(tmp, "c.ckpt"))
+heuristic_lower_bound(spec, 2, budget=5, seed=1)
+heuristic_lower_bound(PermutationSpec.pi1(17), 4, budget=3, seed=1)
+box = QBox.from_ranks([3, 1, 4], 3, 2)
+dec = decompose(image_of_box(spec, box), 1.0, 0.25, 0.25)
+verify_converse_bounds(dec, 0.1)
+loaded["per_point"] = "numpy" in sys.modules
+verify_bijective(spec)
+loaded["scan"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_stays_out_of_the_per_point_paths():
+    # importing numpy costs more than the whole set-up of an exact run;
+    # only the whole-domain passes may pull it in
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"per_point": False, "scan": True}

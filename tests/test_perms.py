@@ -1,10 +1,16 @@
 """Permutation construction tests: formulas, bijectivity, tables, files."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import condlab.perms as perms
 from condlab.errors import (
     BudgetError,
     NotAPermutationError,
@@ -23,7 +29,10 @@ from condlab.perms import (
     write_table_file,
 )
 
+from scan_oracle import first_collision_scan, table_file_bytes, table_inverse
+
 NAMED = ("identity", "pi1", "pi2", "pi3", "piw")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _spec(kind, n, w=3):
@@ -260,3 +269,119 @@ def test_prime_degree_flag():
     assert not PermutationSpec.pi1(3).assumes_prime_degree
     assert PermutationSpec.pi1(4).assumes_prime_degree
     assert not PermutationSpec.identity(4, 3).assumes_prime_degree
+
+
+def test_table_check_names_the_first_fault_in_input_order():
+    with pytest.raises(NotAPermutationError) as exc:
+        PermutationSpec.explicit([0, 9, 1, 1], 1, 2)
+    assert str(exc.value) == "table value 0x9 out of range"
+    with pytest.raises(NotAPermutationError) as exc:
+        PermutationSpec.explicit([2, 2, -1, 0], 1, 2)
+    assert str(exc.value) == "inputs 0x0 and 0x1 map to the same output 0x2"
+    assert exc.value.witness == (0, 1)
+
+
+# --- whole-domain passes against the per-point oracle ---------------------------
+
+TRIPLE = ("identity", "pi1", "pi2", "pi3", "bothmix")
+PIW_SHAPES = ((1, 3), (1, 7), (1, 12), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+              (2, 9), (3, 6))
+RANDOM_SHAPES = ((0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 2), (4, 2, 5))
+
+
+def _oracle_specs():
+    specs = [PermutationSpec(kind, n, 3) for kind in TRIPLE for n in range(1, 6)]
+    specs += [PermutationSpec.piw(n, 3) for n in range(1, 6)]
+    specs += [PermutationSpec.piw(n, w) for n, w in PIW_SHAPES]
+    specs += [random_table(*shape) for shape in RANDOM_SHAPES]
+    return specs
+
+
+def _report_tuple(spec):
+    r = verify_bijective(spec)
+    return r.bijective, r.checked, r.collision
+
+
+@pytest.mark.parametrize("spec", _oracle_specs(),
+                         ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_verify_bijective_equals_per_point_scan(spec):
+    assert _report_tuple(spec) == first_collision_scan(spec)
+
+
+@pytest.mark.parametrize("block", [8, 16])
+def test_bothmix_witness_across_and_inside_blocks(monkeypatch, block):
+    # (65, 72) = ((1,0,1), (1,1,0)) at n = 3: blocks of 8 put the two in
+    # neighbouring blocks, blocks of 16 put both in [64, 80)
+    monkeypatch.setattr(perms, "_BLOCK", block)
+    spec = PermutationSpec.bothmix(3)
+    assert _report_tuple(spec) == (False, 73, (65, 72))
+    assert _report_tuple(spec) == first_collision_scan(spec)
+
+
+def test_small_blocks_equal_per_point_scan(monkeypatch):
+    monkeypatch.setattr(perms, "_BLOCK", 8)
+    specs = [PermutationSpec(kind, 2, 3) for kind in TRIPLE]
+    specs += [PermutationSpec.piw(1, 7), random_table(5, 2, 3)]
+    for spec in specs:
+        assert _report_tuple(spec) == first_collision_scan(spec)
+    # a repeat inside one block, and a repeat of an output from an earlier block
+    for table, witness in (([1, 0, 3, 3] + list(range(4, 16)), (2, 3)),
+                           (list(range(15)) + [2], (2, 15))):
+        spec = PermutationSpec.explicit(range(16), 2, 2)
+        spec.table = tuple(table)  # past the constructor's check
+        assert _report_tuple(spec) == first_collision_scan(spec) == (False, witness[1] + 1, witness)
+
+
+@pytest.mark.parametrize("block", [perms._BLOCK, 8])
+def test_table_file_bytes_equal_per_line_format(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(perms, "_BLOCK", block)
+    specs = [PermutationSpec(kind, n, 3) for kind in TRIPLE for n in (1, 2, 3)]
+    specs += [PermutationSpec.piw(2, 4), PermutationSpec.piw(1, 5),
+              PermutationSpec.identity(1, 1), random_table(3, 3, 3)]
+    path = tmp_path / "t.tbl"
+    for spec in specs:
+        write_table_file(spec, path)
+        assert path.read_bytes() == table_file_bytes(spec)
+
+
+def test_table_inverse_equals_per_point_inverse():
+    pi2 = PermutationSpec.pi2(2)
+    for spec in (random_table(7, 3, 3), random_table(8, 1, 1),
+                 PermutationSpec.explicit([pi2.apply_packed(x) for x in range(64)], 2, 3)):
+        want = table_inverse(spec.table)
+        assert tuple(spec.invert_packed(y) for y in range(len(spec.table))) == want
+        assert spec._inverse == want and type(spec._inverse) is tuple
+
+
+def test_table_inverse_of_a_non_bijection_names_the_first_collision():
+    table = list(range(64))
+    table[10], table[50] = 40, 3
+    spec = PermutationSpec.explicit(range(64), 2, 3)
+    spec.table = tuple(table)  # past the constructor's check
+    with pytest.raises(NotAPermutationError) as exc:
+        spec.invert_packed(0)
+    assert exc.value.witness == first_collision_scan(spec)[2] == (10, 40)
+    assert str(exc.value) == "table is not bijective: output 0x28 has two preimages"
+
+
+REACH_SCRIPT = """
+import json, resource, time
+from condlab import PermutationSpec, verify_bijective
+
+t0 = time.perf_counter()
+report = verify_bijective(PermutationSpec.pi1(8))
+print(json.dumps({"seconds": time.perf_counter() - t0,
+                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "bijective": report.bijective, "checked": report.checked}))
+"""
+
+
+def test_24_bit_scan_is_fast_and_small():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", REACH_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["bijective"] and seen["checked"] == 1 << 24
+    assert seen["seconds"] < 20
+    assert seen["rss_mb"] < 300
