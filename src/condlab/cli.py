@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from math import comb
 
 from . import conductance as cond_mod
@@ -48,121 +47,98 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one command invocation."""
+def _collect_config(args, *, need_eps=()) -> None:
+    """Validate ``args`` in place, aggregating every issue into one error.
 
-    spec_kind: str | None = None
-    n: int | None = None
-    w: int | None = None
-    q: int | None = None
-    alpha_n: float | None = None
-    seed: int = 0
-    mode: str = "exact"
-    budget: int | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    eps3: float | None = None
-    c: float | None = None
-    trials: int | None = None
-    checkpoint: str | None = None
-    checkpoint_every: int = 1000
-    out: str | None = None
-
-
-def _collect_config(args, *, need_q=False, need_eps=(), need_spec=False,
-                    need_w=False) -> RunConfig:
-    """Build a RunConfig, aggregating every validation issue into one error."""
+    The flags a subcommand defines say what it needs: --q/--alpha-n a side
+    size, --spec a spec, and --w without --spec a width. The derived values
+    are filled in: ``q`` and ``alpha_n`` from each other, and ``w = 3`` for
+    the triple kinds.
+    """
     issues = []
-    cfg = RunConfig()
-    cfg.spec_kind = getattr(args, "spec", None)
-    cfg.n = getattr(args, "n", None)
-    cfg.w = getattr(args, "w", None)
-    cfg.seed = getattr(args, "seed", 0) or 0
-    cfg.mode = getattr(args, "mode", "exact")
-    cfg.budget = getattr(args, "budget", None)
-    cfg.trials = getattr(args, "trials", None)
-    cfg.checkpoint = getattr(args, "checkpoint", None)
-    cfg.checkpoint_every = getattr(args, "checkpoint_every", 1000)
-    cfg.out = getattr(args, "out", None)
-    cfg.c = getattr(args, "c", None)
-    for name in ("eps1", "eps2", "eps3"):
-        value = getattr(args, name, None)
-        setattr(cfg, name, value)
-        if name in need_eps:
-            if value is None:
-                issues.append(f"--{name} is required")
-            elif value < 0:
-                issues.append(f"--{name} must be nonnegative")
+    for name in need_eps:
+        value = getattr(args, name)
+        if value is None:
+            issues.append(f"--{name} is required")
+        elif value < 0:
+            issues.append(f"--{name} must be nonnegative")
 
-    if cfg.n is not None and not 1 <= cfg.n <= 64:
-        issues.append(f"--n must be in 1..64, got {cfg.n}")
-    if cfg.w is not None and cfg.w < 1:
-        issues.append(f"--w must be at least 1, got {cfg.w}")
+    n, w = args.n, getattr(args, "w", None)
+    if n is not None and not 1 <= n <= 64:
+        issues.append(f"--n must be in 1..64, got {n}")
+    if w is not None and w < 1:
+        issues.append(f"--w must be at least 1, got {w}")
     threads = getattr(args, "threads", 1)
     if threads < 1:
         issues.append(f"--threads must be at least 1, got {threads}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 0:
+        issues.append(f"--trials must be nonnegative, got {trials}")
 
-    q = getattr(args, "q", None)
-    alpha_n = getattr(args, "alpha_n", None)
-    if need_q:
+    if hasattr(args, "q"):
+        q, alpha_n = args.q, args.alpha_n
         if q is None and alpha_n is None:
             issues.append("one of --q or --alpha-n is required")
         elif q is not None and alpha_n is not None:
             issues.append("--q and --alpha-n are mutually exclusive")
-        elif q is not None:
-            cfg.q = q
-            cfg.alpha_n = math.log2(q) if q >= 1 else None
-            if q < 1:
-                issues.append(f"--q must be at least 1, got {q}")
         else:
-            cfg.alpha_n = alpha_n
-            exact = 2.0 ** alpha_n
-            if abs(exact - round(exact)) > 1e-9:
-                issues.append(
-                    f"--alpha-n {alpha_n} gives a non-integer side size 2^{alpha_n}"
-                )
+            if q is not None:
+                if q < 1:
+                    issues.append(f"--q must be at least 1, got {q}")
+                else:
+                    args.alpha_n = math.log2(q)
             else:
-                cfg.q = int(round(exact))
-        if cfg.q is not None and cfg.n is not None and cfg.q > (1 << cfg.n):
-            issues.append(f"--q {cfg.q} exceeds the alphabet size 2^{cfg.n}")
+                exact = 2.0 ** alpha_n
+                if abs(exact - round(exact)) > 1e-9:
+                    issues.append(
+                        f"--alpha-n {alpha_n} gives a non-integer side size 2^{alpha_n}"
+                    )
+                else:
+                    args.q = int(round(exact))
+            if args.q is not None and n is not None and args.q > (1 << n):
+                issues.append(f"--q {args.q} exceeds the alphabet size 2^{n}")
 
-    if need_spec:
-        if cfg.spec_kind == "table" and not getattr(args, "table_file", None):
+    if hasattr(args, "spec"):
+        kind = args.spec
+        if kind == "table" and not args.table_file:
             issues.append("--table-file is required for table specs")
-        if cfg.spec_kind != "table" and cfg.n is None:
-            issues.append(f"--n is required for --spec {cfg.spec_kind}")
-        if cfg.spec_kind in TRIPLE_KINDS:
-            if cfg.w not in (None, 3):
-                issues.append(f"--spec {cfg.spec_kind} requires --w 3")
-            cfg.w = 3
-        elif cfg.spec_kind == "piw" and cfg.w is not None and cfg.w < 3:
+        if kind != "table" and n is None:
+            issues.append(f"--n is required for --spec {kind}")
+        if kind in TRIPLE_KINDS:
+            if w not in (None, 3):
+                issues.append(f"--spec {kind} requires --w 3")
+            args.w = 3
+        elif kind == "piw" and w is not None and w < 3:
             issues.append("--spec piw requires --w of at least 3")
-        elif cfg.spec_kind not in ("table",) and cfg.w is None:
-            issues.append(f"--w is required for --spec {cfg.spec_kind}")
-    elif need_w and cfg.w is None:
+        elif kind != "table" and w is None:
+            issues.append(f"--w is required for --spec {kind}")
+    elif hasattr(args, "w") and w is None:
         issues.append("--w is required")
 
     if issues:
         raise _UsageError("invalid configuration: " + "; ".join(issues))
-    return cfg
 
 
-def _build_spec(args, cfg: RunConfig) -> PermutationSpec:
-    kind = cfg.spec_kind
+def _build_spec(args) -> PermutationSpec:
+    kind = args.spec
     if kind == "random":
-        return random_table(args.seed, cfg.n, cfg.w)
+        return random_table(args.seed, args.n, args.w)
     if kind == "table":
         spec = load_table_file(args.table_file)
         # the file fixes the shape; compare only the flags that were given
-        flags = {k: v for k, v in (("n", cfg.n), ("w", cfg.w)) if v is not None}
+        flags = {k: v for k, v in (("n", args.n), ("w", args.w)) if v is not None}
         if any(getattr(spec, k) != v for k, v in flags.items()):
             said = ", ".join(f"{k}={v}" for k, v in flags.items())
             raise _UsageError(
                 f"table file has shape (n={spec.n}, w={spec.w}), flags say ({said})"
             )
+        q = getattr(args, "q", None)
+        if q is not None and q > (1 << spec.n):
+            raise _UsageError(
+                f"invalid configuration: --q {q} exceeds the alphabet size 2^{spec.n}"
+            )
         return spec
-    return PermutationSpec(kind, cfg.n, cfg.w)
+    return PermutationSpec(kind, args.n, args.w)
 
 
 def _maybe_warn_composite(spec: PermutationSpec):
@@ -241,8 +217,8 @@ def load_box_file(path) -> QBox:
 
 
 def cmd_field_selfcheck(args) -> int:
-    cfg = _collect_config(args)
-    report = selfcheck(cfg.n, seed=cfg.seed)
+    _collect_config(args)
+    report = selfcheck(args.n, seed=args.seed)
     print(
         f"field n={report['n']} poly={report['poly']:#x} mode={report['mode']} "
         f"triples={report['triples_checked']} inverses={report['inverses_checked']} ok=yes"
@@ -251,8 +227,8 @@ def cmd_field_selfcheck(args) -> int:
 
 
 def cmd_perm_verify(args) -> int:
-    cfg = _collect_config(args, need_spec=True)
-    spec = _build_spec(args, cfg)
+    _collect_config(args)
+    spec = _build_spec(args)
     _maybe_warn_composite(spec)
     report = verify_bijective(spec, budget_bits=args.budget_bits)
     if report.bijective:
@@ -260,8 +236,8 @@ def cmd_perm_verify(args) -> int:
     else:
         a, b = report.collision
         print(f"bijective=no witness={a:#x},{b:#x} checked={report.checked}")
-    if cfg.out:
-        _write_json(cfg.out, {
+    if args.out:
+        _write_json(args.out, {
             "bijective": report.bijective,
             "checked": report.checked,
             "collision": list(report.collision) if report.collision else None,
@@ -272,8 +248,8 @@ def cmd_perm_verify(args) -> int:
 
 
 def cmd_perm_eval(args, inverse: bool = False) -> int:
-    cfg = _collect_config(args, need_spec=True)
-    spec = _build_spec(args, cfg)
+    _collect_config(args)
+    spec = _build_spec(args)
     point = _parse_point(args.point, spec.n, spec.w)
     result = spec.invert(point) if inverse else spec.eval(point)
     print(",".join(f"{wd:x}" for wd in result.words))
@@ -281,57 +257,56 @@ def cmd_perm_eval(args, inverse: bool = False) -> int:
 
 
 def cmd_perm_export(args) -> int:
-    cfg = _collect_config(args, need_spec=True)
-    spec = _build_spec(args, cfg)
+    _collect_config(args)
+    spec = _build_spec(args)
     write_table_file(spec, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_cond(args) -> int:
-    cfg = _collect_config(args, need_q=True, need_spec=True)
-    spec = _build_spec(args, cfg)
+    _collect_config(args)
+    spec = _build_spec(args)
     _maybe_warn_composite(spec)
-    if cfg.mode == "exact":
+    if args.mode == "exact":
         kwargs = {}
-        if cfg.budget is not None:
-            kwargs["outer_budget"] = cfg.budget
-        if cfg.checkpoint:
-            kwargs["checkpoint_path"] = cfg.checkpoint
-            kwargs["checkpoint_every"] = cfg.checkpoint_every
-        report = cond_mod.exact_conductance(spec, cfg.q, **kwargs)
+        if args.budget is not None:
+            kwargs["outer_budget"] = args.budget
+        if args.checkpoint:
+            kwargs["checkpoint_path"] = args.checkpoint
+            kwargs["checkpoint_every"] = args.checkpoint_every
+        report = cond_mod.exact_conductance(spec, args.q, **kwargs)
     else:
-        budget = cfg.budget if cfg.budget is not None else 200
+        budget = args.budget if args.budget is not None else 200
         report = cond_mod.heuristic_lower_bound(
-            spec, cfg.q, budget=budget, seed=cfg.seed,
+            spec, args.q, budget=budget, seed=args.seed,
         )
-    if cfg.out:
-        _write_json(cfg.out, report.to_json_dict())
+    if args.out:
+        _write_json(args.out, report.to_json_dict())
     print(f"condd={report.condd:.12g} mode={report.mode} witnesses=yes")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    cfg = _collect_config(args, need_q=True, need_spec=True,
-                          need_eps=("eps1", "eps2", "eps3"))
-    spec = _build_spec(args, cfg)
+    _collect_config(args, need_eps=("eps1", "eps2", "eps3"))
+    spec = _build_spec(args)
     _maybe_warn_composite(spec)
 
     if args.box_file:
         boxes = [load_box_file(args.box_file)]
         for box in boxes:
-            if box.n != spec.n or box.w != spec.w or box.q != cfg.q:
+            if box.n != spec.n or box.w != spec.w or box.q != args.q:
                 raise _UsageError(
                     f"box file shape (n={box.n}, w={box.w}, q={box.q}) does "
                     "not match the requested parameters"
                 )
     else:
         rng = random.Random(args.box_seed)
-        radix = comb(1 << spec.n, cfg.q)
-        count = cfg.trials if cfg.trials is not None else 1
+        radix = comb(1 << spec.n, args.q)
+        count = args.trials if args.trials is not None else 1
         boxes = [
             QBox.from_ranks(
-                [rng.randrange(radix) for _ in range(spec.w)], spec.n, cfg.q
+                [rng.randrange(radix) for _ in range(spec.w)], spec.n, args.q
             )
             for _ in range(count)
         ]
@@ -339,30 +314,29 @@ def cmd_decompose(args) -> int:
     runs = []
     for box in boxes:
         img = image_of_box(spec, box)
-        dec = condenser_mod.decompose(img, cfg.alpha_n, cfg.eps1, cfg.eps2)
-        verdict = condenser_mod.verify_converse_bounds(dec, cfg.eps3)
+        dec = condenser_mod.decompose(img, args.alpha_n, args.eps1, args.eps2)
+        verdict = condenser_mod.verify_converse_bounds(dec, args.eps3)
         runs.append({
             "box": [list(s) for s in box.sides],
             "decomposition": dec.to_json_dict(),
             "bounds": verdict.to_json_dict(),
         })
     payload = {"spec": spec.digest(), "runs": runs}
-    if cfg.out:
-        _write_json(cfg.out, payload)
+    if args.out:
+        _write_json(args.out, payload)
     print(f"decomposed {len(runs)} box(es)")
     return EXIT_OK
 
 
 def cmd_condenser_profile(args) -> int:
-    cfg = _collect_config(args, need_q=True, need_spec=True,
-                          need_eps=("eps1", "eps2"))
-    spec = _build_spec(args, cfg)
+    _collect_config(args, need_eps=("eps1", "eps2"))
+    spec = _build_spec(args)
     _maybe_warn_composite(spec)
     profile = condenser_mod.empirical_condenser_profile(
-        spec, cfg.alpha_n, cfg.eps1, cfg.eps2, args.trials, cfg.seed,
+        spec, args.alpha_n, args.eps1, args.eps2, args.trials, args.seed,
     )
-    if cfg.out:
-        _write_json(cfg.out, profile.to_json_dict())
+    if args.out:
+        _write_json(args.out, profile.to_json_dict())
     if profile.trials:
         met = profile.all_targets_met
         print(
@@ -376,13 +350,13 @@ def cmd_condenser_profile(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _collect_config(args, need_q=True, need_w=True)
+    _collect_config(args)
     sheet = cond_mod.bound_sheet(
-        cfg.n, cfg.w, cfg.q, eps1=cfg.eps1, eps2=cfg.eps2, c=cfg.c
+        args.n, args.w, args.q, eps1=args.eps1, eps2=args.eps2, c=args.c
     )
     payload = sheet.to_json_dict()
-    if cfg.out:
-        _write_json(cfg.out, payload)
+    if args.out:
+        _write_json(args.out, payload)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -398,13 +372,13 @@ def _fmt(value) -> str:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _collect_config(args, need_q=True, need_eps=())
+    _collect_config(args)
     w_list = [int(t) for t in args.w_list.split(",") if t]
     if not w_list or any(w < 1 for w in w_list):
         raise _UsageError(f"bad --w-list {args.w_list!r}")
-    eps1 = cfg.eps1 if cfg.eps1 is not None else 0.5
-    eps2 = cfg.eps2 if cfg.eps2 is not None else 0.0625
-    c = cfg.c if cfg.c is not None else 0.25
+    eps1 = args.eps1 if args.eps1 is not None else 0.5
+    eps2 = args.eps2 if args.eps2 is not None else 0.0625
+    c = args.c if args.c is not None else 0.25
 
     header = [
         "row", "spec", "seed", "n", "w", "q", "alpha", "max_count", "condd",
@@ -413,9 +387,9 @@ def cmd_experiment(args) -> int:
         "min_condd", "mean_condd", "max_condd",
     ]
     lines = [",".join(header)]
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     for w in w_list:
-        sheet = cond_mod.bound_sheet(cfg.n, w, cfg.q, eps1=eps1, eps2=eps2, c=c)
+        sheet = cond_mod.bound_sheet(args.n, w, args.q, eps1=eps1, eps2=eps2, c=c)
         shared = [
             _fmt(sheet.condenser_bound), _fmt(sheet.repetition_bound),
             _fmt(sheet.random_perm_bound),
@@ -427,30 +401,30 @@ def cmd_experiment(args) -> int:
         def emit(row, name, seed, report):
             degrees.append(report.condd)
             lines.append(",".join(
-                [row, name, _fmt(seed), str(cfg.n), str(w), str(cfg.q),
+                [row, name, _fmt(seed), str(args.n), str(w), str(args.q),
                  _fmt(report.alpha), str(report.max_count), _fmt(report.condd)]
                 + shared + ["", "", ""]
             ))
 
         control = cond_mod.exact_conductance(
-            PermutationSpec.identity(cfg.n, w), cfg.q
+            PermutationSpec.identity(args.n, w), args.q
         )
         emit("control", "identity", None, control)
         for _ in range(args.count):
             table_seed = rng.randrange(2 ** 32)
-            spec = random_table(table_seed, cfg.n, w)
-            report = cond_mod.exact_conductance(spec, cfg.q)
+            spec = random_table(table_seed, args.n, w)
+            report = cond_mod.exact_conductance(spec, args.q)
             emit("perm", "random", table_seed, report)
         lines.append(",".join(
-            ["summary", "", "", str(cfg.n), str(w), str(cfg.q), "", "", ""]
+            ["summary", "", "", str(args.n), str(w), str(args.q), "", "", ""]
             + [""] * 5
             + [_fmt(min(degrees)), _fmt(sum(degrees) / len(degrees)),
                _fmt(max(degrees))]
         ))
 
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .boxes import PointSet, QBox, image_of_box, slices
+from .boxes import PointSet, QBox, _check_box_params, image_of_box, slices
 from .errors import RangeError, ShapeError, UndefinedEntropyError
 from .perms import PermutationSpec
 
@@ -582,6 +582,7 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
             f"box sampling needs an integer side size, got 2^{alpha_n}"
         )
     q = int(round(q))
+    _check_box_params(spec.n, q, spec.w)
     radix = comb(1 << spec.n, q)
     rng = random.Random(seed)
     all_ranks = [

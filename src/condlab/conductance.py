@@ -43,6 +43,7 @@ from .boxes import (
     greedy_box,
     image_of_box,
     intersection_count,
+    pad_side,
     rank_to_digits,
     slices,
     _check_box_params,
@@ -138,8 +139,12 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
     nothing beats the incumbent. Visits per-coordinate subsets in
     lexicographic order and updates only on strict improvement, so the
     returned sides are the lexicographically smallest maximizer.
+
+    A side acts only through the values of the surviving points it holds.
+    Each node tries the q-sets of those values plus the q smallest absent
+    ones, which include the lexicographically first side for every set of
+    held values, so no branch depends on the alphabet size 2^n.
     """
-    all_sides = list(itertools.combinations(range(1 << n), q))
     best = incumbent
     best_sides = None
     nodes = 0
@@ -163,7 +168,8 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
         if bound <= best:
             return
         by_value = groups[0]
-        for side in all_sides:
+        values = pad_side(by_value, min(len(by_value) + q, 1 << n))
+        for side in itertools.combinations(values, q):
             sub = [p for v in side for p in by_value.get(v, ())]
             if len(sub) <= best:
                 continue

@@ -22,11 +22,13 @@ Named constructions (w = 3 unless noted):
 Arithmetic is GF(2^n) under the pinned default modulus unless a spec is
 built with an explicit one.
 
-Single points go through ``apply_packed``, in pure Python. The passes
-over the whole domain (``verify_bijective``, ``write_table_file`` and
-the inverse of a table) evaluate blocks of ascending inputs as numpy
-arrays instead, and import numpy only when they run, so the per-point
-layers above (box images, the searches, the condenser) never load it.
+Each algebraic map is written once, in ``_forward``, for one point and
+for a block alike. Single points go through ``apply_packed``, in pure
+Python. The passes over the whole domain (``verify_bijective``,
+``write_table_file`` and the inverse of a table) evaluate numpy blocks
+of ascending inputs, and import numpy only when they run, so the
+per-point layers above (box images, the searches, the condenser) never
+load it.
 """
 
 from __future__ import annotations
@@ -216,30 +218,13 @@ class PermutationSpec:
     # --- evaluation ------------------------------------------------------
 
     def apply_packed(self, x: int) -> int:
-        """Forward map on a packed point of the domain. Words are read by
-        shift and mask, and each product is XOR-ed into its word's place."""
-        n, w = self.n, self.w
+        """Forward map on a packed point of the domain."""
         kind = self.kind
         if kind == "identity":
             return x
         if kind in ("random", "table"):
             return self.table[x]
-        p = self.poly.poly
-        mask = (1 << n) - 1
-        if kind == "piw":
-            for i in range(0, w - w % 3, 3):
-                lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
-                a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
-                x ^= mul_raw(a, b, p) << lo
-            return x
-        a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
-        if kind == "pi1" or (kind == "pi3" and not a & 1):
-            return x ^ mul_raw(a, b, p)
-        if kind in ("pi2", "pi3"):
-            return x ^ (mul_raw(a, c, p) << n)
-        # bothmix, (a, b, c) -> (a, a*b + c, a*c + b): word 1 gains a*b + b + c
-        # and word 2 gains a*c + b + c
-        return x ^ ((mul_raw(a, b, p) ^ b ^ c) << n) ^ mul_raw(a, c, p) ^ b ^ c
+        return _forward(self, x, mul_raw, self.poly.poly)
 
     def invert_packed(self, y: int) -> int:
         """Preimage of a packed point. pi1/pi2/pi3/piw are their own
@@ -306,6 +291,35 @@ class PermutationSpec:
             )
 
 
+def _forward(spec: PermutationSpec, x, mul, p):
+    """The forward map of an algebraic kind on ``x``: one packed point as
+    an int, or a numpy uint64 array of them. Words are read by shift and
+    mask, and each product ``mul(a, b, p)`` is XOR-ed into its word's
+    place; the same expressions serve both operand types."""
+    n, kind = spec.n, spec.kind
+    mask = (1 << n) - 1
+    if kind == "piw":
+        w = spec.w
+        for i in range(0, w - w % 3, 3):
+            lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
+            a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
+            x ^= mul(a, b, p) << lo
+        return x
+    a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
+    if kind == "pi1":
+        return x ^ mul(a, b, p)
+    if kind == "pi2":
+        return x ^ (mul(a, c, p) << n)
+    if kind == "pi3":
+        # the low bit of a picks the rule: a*b into word 2 (pi1) when it
+        # is 0, a*c into word 1 (pi2) when it is 1, without a branch
+        odd = a & 1
+        return x ^ (mul(a, b ^ (b ^ c) * odd, p) << (n * odd))
+    # bothmix, (a, b, c) -> (a, a*b + c, a*c + b): word 1 gains a*b + b + c
+    # and word 2 gains a*c + b + c
+    return x ^ ((mul(a, b, p) ^ b ^ c) << n) ^ mul(a, c, p) ^ b ^ c
+
+
 def random_table(seed: int, n: int, w: int) -> PermutationSpec:
     """A uniformly random permutation table from a seeded Fisher-Yates
     shuffle (Mersenne Twister via ``random.Random``); same seed, same table."""
@@ -361,43 +375,26 @@ def _block_evaluator(spec: PermutationSpec):
     """Return ``outputs(start, stop)``: the images of the inputs
     ``start..stop-1`` as a numpy uint64 array. The pass's lookup is built
     once here: the table itself, or for the algebraic kinds the
-    2^n x 2^n product table of the field (from ``mul_raw``), so each
-    output is a gather plus the shifts and XORs of :meth:`apply_packed`."""
+    2^n x 2^n product table of the field (from ``mul_raw``), which
+    :func:`_forward` reads by gather in place of each product."""
     import numpy as np
 
-    kind, n, w = spec.kind, spec.n, spec.w
-    if kind == "identity":
+    n = spec.n
+    if spec.kind == "identity":
         return lambda start, stop: np.arange(start, stop, dtype=np.uint64)
-    if kind in ("random", "table"):
+    if spec.kind in ("random", "table"):
         table = np.array(spec.table, dtype=np.uint64)
         return lambda start, stop: table[start:stop]
     p = spec.poly.poly
     words = range(1 << n)
     products = np.array([mul_raw(a, b, p) for a in words for b in words], dtype=np.uint64)
-    mask = (1 << n) - 1
 
-    def mul(a, b):
-        return products[(a << n) | b]
+    def gather(a, b, table):
+        return table[(a << n) | b]
 
-    def outputs(start, stop):
-        x = np.arange(start, stop, dtype=np.uint64)
-        if kind == "piw":
-            for i in range(0, w - w % 3, 3):
-                lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
-                a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
-                x ^= mul(a, b) << lo
-            return x
-        a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
-        if kind == "pi1":
-            return x ^ mul(a, b)
-        if kind == "pi2":
-            return x ^ (mul(a, c) << n)
-        if kind == "pi3":
-            return x ^ np.where(a & 1, mul(a, c) << n, mul(a, b))
-        # bothmix: word 1 gains a*b + b + c and word 2 gains a*c + b + c
-        return x ^ ((mul(a, b) ^ b ^ c) << n) ^ mul(a, c) ^ b ^ c
-
-    return outputs
+    return lambda start, stop: _forward(
+        spec, np.arange(start, stop, dtype=np.uint64), gather, products
+    )
 
 
 def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:

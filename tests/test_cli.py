@@ -159,6 +159,30 @@ def test_decompose_zero_trials(capsys):
     assert "decomposed 0 box(es)" in capsys.readouterr().out
 
 
+def test_decompose_negative_trials_is_a_usage_error(capsys):
+    assert run("decompose", "--spec", "pi1", "--n", "2", "--q", "2",
+               "--eps1", "0.25", "--eps2", "0.25", "--eps3", "0.1",
+               "--trials", "-2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid configuration: "
+                            "--trials must be nonnegative, got -2\n")
+
+
+def test_table_spec_side_size_is_checked_against_the_file(tmp_path, capsys):
+    path = tmp_path / "t.tbl"
+    assert run("perm", "export-table", "--spec", "pi1", "--n", "2", "--out", str(path)) == 0
+    capsys.readouterr()
+    table = ("--spec", "table", "--table-file", str(path), "--q", "8",
+             "--eps1", "0.25", "--eps2", "0.25")
+    for command in (("decompose",) + table + ("--eps3", "0.1"),
+                    ("condenser-profile",) + table + ("--trials", "2")):
+        assert run(*command) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: --q 8 exceeds the alphabet size 2^2\n"
+        )
+
+
 def test_box_file_round_trip_and_duplicate_detection(tmp_path, capsys):
     box = QBox(((0, 3), (1, 2), (0, 1)), 2)
     path = tmp_path / "box.txt"

@@ -423,3 +423,8 @@ def test_profile_deterministic_across_threads():
 def test_profile_rejects_fractional_side_size():
     with pytest.raises(RangeError):
         empirical_condenser_profile(PermutationSpec.pi1(2), 0.5, 0.1, 0.1, 1, 0)
+
+
+def test_profile_rejects_a_side_larger_than_the_alphabet():
+    with pytest.raises(ShapeError, match="exceeds the alphabet size 2\\^2"):
+        empirical_condenser_profile(PermutationSpec.pi1(2), 3.0, 0.1, 0.1, 1, 0)

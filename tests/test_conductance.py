@@ -1,5 +1,6 @@
 """Conductance engine tests: oracle agreement, witnesses, bounds, files."""
 
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from condlab.conductance import (
     replay_witness,
 )
 from condlab.errors import BudgetError, CondlabError, RangeError, ShapeError
-from condlab.perms import PermutationSpec, pack_words, random_table
+from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 from naive_oracle import (
     identity_table,
@@ -211,19 +212,48 @@ def test_best_v_single_point_q1():
     assert count == 1
 
 
+def _brute_best_v(points, n, w, q):
+    """Every q-box V in lexicographic order, kept on strict improvement."""
+    words = [unpack_words(p, n, w) for p in points]
+    best, best_sides = -1, None
+    for sides in itertools.product(itertools.combinations(range(1 << n), q), repeat=w):
+        sets = [set(s) for s in sides]
+        count = sum(all(x in s for x, s in zip(p, sets)) for p in words)
+        if count > best:
+            best, best_sides = count, sides
+    return best, best_sides
+
+
 def test_best_v_matches_enumeration_over_all_boxes():
     rng = random.Random(13)
-    for _ in range(12):
-        ps = PointSet(rng.sample(range(64), 8), 2, 3)
-        found, count = best_V_for_U(ps, 2)
-        per_box = [
-            (intersection_count(ps, box), box.sides)
-            for box in enumerate_qboxes(2, 2, 3)
-        ]
-        best = max(c for c, _ in per_box)
-        assert count == best
-        lex_first = min(sides for c, sides in per_box if c == best)
-        assert found.sides == lex_first
+    # dense sets on the whole 2^6 domain, then sparse ones on larger
+    # alphabets, where most values occur in no point
+    for n, w, q in [(2, 3, 2)] * 12 + [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)] * 4:
+        size = 8 if n == 2 else rng.randint(1, 12)
+        points = rng.sample(range(1 << (n * w)), size)
+        found, count = best_V_for_U(PointSet(points, n, w), q)
+        assert (count, found.sides) == _brute_best_v(points, n, w, q), (n, w, q)
+
+
+INNER_REACH_SCRIPT = """
+from condlab.boxes import QBox, image_of_box
+from condlab.conductance import best_V_for_U
+from condlab.perms import PermutationSpec
+for n in range(5, 13):
+    box = QBox(((0, 1, 2, 3),) * 3, n)
+    found, count = best_V_for_U(image_of_box(PermutationSpec.pi1(n), box), 4)
+    print(n, count, found.sides)
+"""
+
+
+def test_inner_search_does_not_walk_the_alphabet():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", INNER_REACH_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = ((0, 1, 2, 3),) * 3
+    assert proc.stdout.splitlines() == [f"{n} 48 {want}" for n in range(5, 13)]
 
 
 def test_best_v_rejects_empty_set():

@@ -68,15 +68,29 @@ def test_pi2_formula():
         assert out.words == (a, b ^ mul_raw(a, c, poly), c)
 
 
-@pytest.mark.parametrize("kind", ["pi1", "bothmix"])
+def _closed_form(kind, a, b, c, poly):
+    """The image words of (a, b, c), with every product from mul_raw."""
+    ab, ac = mul_raw(a, b, poly), mul_raw(a, c, poly)
+    if kind == "pi3":
+        kind = "pi2" if a & 1 else "pi1"
+    if kind == "pi1":
+        return (a, b, c ^ ab)
+    if kind == "pi2":
+        return (a, b ^ ac, c)
+    return (a, ab ^ c, ac ^ b)  # bothmix
+
+
+@pytest.mark.parametrize("kind", ["pi1", "pi2", "pi3", "bothmix"])
 def test_apply_packed_closed_form_exhaustive(kind):
-    n = 3
-    spec = PermutationSpec(kind, n, 3)
-    poly = default_poly(n).poly
-    for a, b, c in itertools.product(range(1 << n), repeat=3):
-        ab, ac = mul_raw(a, b, poly), mul_raw(a, c, poly)
-        want = (a, b, c ^ ab) if kind == "pi1" else (a, ab ^ c, ac ^ b)
-        assert spec.apply_packed(pack_words((a, b, c), n)) == pack_words(want, n)
+    # both operand types of the shared formula: one int per point, and the
+    # numpy block of a whole-domain pass
+    for n in (1, 2, 3, 4):
+        spec = PermutationSpec(kind, n, 3)
+        poly = default_poly(n).poly
+        want = [pack_words(_closed_form(kind, a, b, c, poly), n)
+                for a, b, c in itertools.product(range(1 << n), repeat=3)]
+        assert [spec.apply_packed(x) for x in range(1 << (3 * n))] == want, n
+        assert perms._block_evaluator(spec)(0, 1 << (3 * n)).tolist() == want, n
 
 
 @pytest.mark.parametrize("n", [2, 3])
