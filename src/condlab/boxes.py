@@ -8,7 +8,8 @@ sets are sorted tuples of packed integers; membership is a binary search.
 Points stay packed everywhere outside ``perms``: :func:`slices` is the
 one place a word is read out of them, grouping points by the value of
 one coordinate. Sides that must reach size q are filled by
-:func:`pad_side`, the lexicographically smallest completion.
+:func:`pad_side`, the lexicographically smallest completion, and the
+densest side of one coordinate is :func:`fattest_side`.
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ def pad_side(values, q: int) -> tuple[int, ...]:
         side.add(v)
         v += 1
     return tuple(sorted(side))
+
+
+def fattest_side(by_value, q: int) -> tuple[int, ...]:
+    """The q values with the largest slices in a :func:`slices` map, ties to
+    the smaller value, padded by :func:`pad_side`: the lexicographically
+    smallest q-side that keeps the most points of one coordinate."""
+    ranked = sorted(by_value, key=lambda v: (-len(by_value[v]), v))
+    return pad_side(ranked[:q], q)
 
 
 # --- combination ranking (lexicographic, matches itertools.combinations) --
@@ -291,22 +300,14 @@ def covering_box(points: PointSet, q: int) -> QBox:
 
 
 def greedy_box(points: PointSet, q: int) -> tuple[QBox, int]:
-    """Greedy dense q-box for a point set: top-q most frequent values per
-    coordinate (ties to the smaller value), then first-improvement
-    1-swaps until no single side swap raises the count. Deterministic.
-
-    Only values that occur are ranked: every other value has frequency 0,
-    so padding with the smallest unused values picks the same side as
-    ranking the whole alphabet. A swap on side i changes the count by the
-    difference of two slice sizes among the points inside every other
-    side, so one pass per side prices all of its swaps."""
+    """Greedy dense q-box for a point set: each coordinate's
+    :func:`fattest_side`, then first-improvement 1-swaps until no single
+    side swap raises the count. Deterministic. A swap on side i changes
+    the count by the difference of two slice sizes among the points inside
+    every other side, so one pass per side prices all of its swaps."""
     _check_box_params(points.n, q, points.w)
     n, w = points.n, points.w
-    sides = []
-    for i in range(w):
-        by_value = slices(points.points, n, w, i)
-        ranked = sorted(by_value, key=lambda v: (-len(by_value[v]), v))
-        sides.append(pad_side(ranked[:q], q))
+    sides = [fattest_side(slices(points.points, n, w, i), q) for i in range(w)]
 
     while True:
         for i, side in enumerate(sides):

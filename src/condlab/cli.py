@@ -71,9 +71,10 @@ def _collect_config(args, *, need_eps=()) -> None:
     threads = getattr(args, "threads", 1)
     if threads < 1:
         issues.append(f"--threads must be at least 1, got {threads}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 0:
-        issues.append(f"--trials must be nonnegative, got {trials}")
+    for name in ("trials", "count", "checkpoint_every"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            issues.append(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
 
     if hasattr(args, "q"):
         q, alpha_n = args.q, args.alpha_n
@@ -88,13 +89,13 @@ def _collect_config(args, *, need_eps=()) -> None:
                 else:
                     args.alpha_n = math.log2(q)
             else:
-                exact = 2.0 ** alpha_n
-                if abs(exact - round(exact)) > 1e-9:
-                    issues.append(
-                        f"--alpha-n {alpha_n} gives a non-integer side size 2^{alpha_n}"
-                    )
+                size = condenser_mod.side_size(alpha_n)
+                if math.isinf(size):
+                    issues.append(f"--alpha-n {alpha_n} gives a side size 2^{alpha_n} out of range")
+                elif not isinstance(size, int):
+                    issues.append(f"--alpha-n {alpha_n} gives a non-integer side size 2^{alpha_n}")
                 else:
-                    args.q = int(round(exact))
+                    args.q = size
             if args.q is not None and n is not None and args.q > (1 << n):
                 issues.append(f"--q {args.q} exceeds the alphabet size 2^{n}")
 
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
     except TableFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CondlabError as exc:
+    except (CondlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

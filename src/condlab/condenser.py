@@ -13,8 +13,8 @@ per-coordinate min-entropy boost of the uniform distribution on C_i, and
 
 The residual bound |R0| <= 2^((1-eps3)*alpha_n*w) is conditional: it
 needs every q-box V to satisfy |S ∩ V| < 2^(alpha_n*w*(1-eps1-eps2-eps3-
-1/alpha_n)). ``verify_converse_bounds`` checks that precondition
-exhaustively when it can and otherwise marks the bound unverified.
+1/alpha_n)). ``verify_converse_bounds`` checks that precondition with the
+exact inner search when it can and otherwise marks the bound unverified.
 
 The scan order of slices is pinned (coordinate ascending, then value
 ascending) so reference traces are reproducible. Size-versus-threshold comparisons
@@ -32,7 +32,8 @@ from fractions import Fraction
 from math import comb
 
 from .boxes import PointSet, QBox, _check_box_params, image_of_box, slices
-from .errors import RangeError, ShapeError, UndefinedEntropyError
+from .conductance import best_V_for_U
+from .errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
 from .perms import PermutationSpec
 
 PROBABILITY_TOLERANCE = 1e-12
@@ -184,6 +185,13 @@ def _scaled_below(size: int, shift: float, limit: int) -> bool:
 # --- slices and the partitioning procedure ----------------------------------
 
 
+def side_size(alpha_n: float) -> int | float:
+    """The side size 2^alpha_n: an int when it is one to within 1e-9, else
+    a float, infinite past the float range (and for nan)."""
+    size = 2.0 ** alpha_n if alpha_n < 1024 else math.inf
+    return size if math.isinf(size) or abs(size - round(size)) > 1e-9 else round(size)
+
+
 def cut_exponent(alpha_n: float, w: int, eps1: float, eps2: float) -> float:
     """Exponent of the bottleneck threshold 2^(alpha_n*(w-1-eps1-eps2))."""
     return alpha_n * (w - 1 - eps1 - eps2)
@@ -215,9 +223,8 @@ class Decomposition:
     slice_log: tuple = field(default_factory=tuple)
 
     @property
-    def q(self) -> float:
-        exact = 2.0 ** self.alpha_n
-        return int(round(exact)) if abs(exact - round(exact)) < 1e-9 else exact
+    def q(self) -> int | float:
+        return side_size(self.alpha_n)
 
     def source_points(self) -> PointSet:
         merged = []
@@ -424,14 +431,14 @@ class ConverseReport:
         }
 
 
-def verify_converse_bounds(dec: Decomposition, eps3: float, *,
-                           max_box_intersection: int | None = None,
-                           check_precondition: bool = True) -> ConverseReport:
+def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     """Check the residual bounds of a decomposition.
 
-    ``max_box_intersection`` may carry a precomputed exact maximum of
-    |S ∩ V| over q-boxes V for the source set S; otherwise, when q is an
-    integer and checking is requested, it is computed exhaustively here.
+    The R0 bound needs the exact maximum of |S ∩ V| over q-boxes V for the
+    source set S, which :func:`best_V_for_U` computes under its default
+    node budget. The precondition stays unchecked, and the R0 bound
+    unverified, when q is not an integer, when S is empty, or when the
+    search exceeds its budget.
     """
     if eps3 < 0:
         raise RangeError(f"eps3 must be nonnegative, got {eps3}")
@@ -439,20 +446,17 @@ def verify_converse_bounds(dec: Decomposition, eps3: float, *,
     pre_exp = alpha_n * w * (1 - dec.eps1 - dec.eps2 - eps3) - w
 
     held: bool | None = None
-    checked = False
-    max_int = max_box_intersection
-    q = dec.q
-    if max_int is None and check_precondition and isinstance(q, int):
-        from .conductance import _best_box_bnb
-
-        source = dec.source_points()
-        if len(source):
-            max_int, _ = _best_box_bnb(source.points, dec.n, w, q)
-            checked = True
-    elif max_int is not None:
-        checked = True
-    if checked and max_int is not None:
-        held = size_below(max_int, pre_exp)
+    max_int = None
+    note = "unverified: intersection precondition not checked"
+    source = dec.source_points()
+    if isinstance(dec.q, int) and len(source):
+        try:
+            _, max_int = best_V_for_U(source, dec.q)
+        except BudgetError as exc:
+            note += f" ({exc})"
+        else:
+            held = size_below(max_int, pre_exp)
+            note = "precondition held" if held else "unverified: intersection precondition failed"
 
     checks = []
     keep_e = keep_exponent(alpha_n, w, dec.eps2)
@@ -470,15 +474,9 @@ def verify_converse_bounds(dec: Decomposition, eps3: float, *,
 
     r0_exp = (1 - eps3) * alpha_n * w
     r0_rhs = 2.0 ** r0_exp
+    r0_holds = None
     if held:
-        r0_holds: bool | None = not size_above(len(dec.r0), r0_exp) if len(dec.r0) else True
-        note = "precondition held"
-    else:
-        r0_holds = None
-        note = (
-            "unverified: intersection precondition "
-            + ("failed" if held is False else "not checked")
-        )
+        r0_holds = not size_above(len(dec.r0), r0_exp) if len(dec.r0) else True
     checks.append(
         BoundCheck(name="r0_size", lhs=len(dec.r0), rhs=r0_rhs,
                    holds=r0_holds, note=note)
@@ -487,7 +485,7 @@ def verify_converse_bounds(dec: Decomposition, eps3: float, *,
     return ConverseReport(
         checks=tuple(checks),
         eps3=eps3,
-        precondition_checked=checked,
+        precondition_checked=max_int is not None,
         precondition_held=held,
         max_box_intersection=max_int,
         precondition_exponent=pre_exp,
@@ -576,12 +574,10 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
     del threads
     if trials < 0:
         raise RangeError(f"trials must be nonnegative, got {trials}")
-    q = 2.0 ** alpha_n
-    if abs(q - round(q)) > 1e-9:
-        raise RangeError(
-            f"box sampling needs an integer side size, got 2^{alpha_n}"
-        )
-    q = int(round(q))
+    q = side_size(alpha_n)
+    if not isinstance(q, int):
+        raise RangeError(f"box sampling needs an integer side size, got 2^{alpha_n}"
+                         + (", out of range" if math.isinf(q) else ""))
     _check_box_params(spec.n, q, spec.w)
     radix = comb(1 << spec.n, q)
     rng = random.Random(seed)

@@ -40,6 +40,7 @@ from .boxes import (
     combination_unrank,
     digits_to_rank,
     enumerate_qboxes_range,
+    fattest_side,
     greedy_box,
     image_of_box,
     intersection_count,
@@ -143,7 +144,8 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
     A side acts only through the values of the surviving points it holds.
     Each node tries the q-sets of those values plus the q smallest absent
     ones, which include the lexicographically first side for every set of
-    held values, so no branch depends on the alphabet size 2^n.
+    held values, so no branch depends on the alphabet size 2^n. The last
+    coordinate takes :func:`fattest_side`, the first side that meets the bound.
     """
     best = incumbent
     best_sides = None
@@ -157,17 +159,15 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
                 f"inner search exceeded its node budget of {node_budget}",
                 refused=nodes,
             )
-        if depth == w:
-            if len(pts) > best:
-                best = len(pts)
-                best_sides = tuple(chosen)
-            return
         # a q-box keeps at most the q fattest slices of each coordinate
         groups = [slices(pts, n, w, j) for j in range(depth, w)]
         bound = min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
         if bound <= best:
             return
         by_value = groups[0]
+        if depth == w - 1:
+            best, best_sides = bound, chosen + (fattest_side(by_value, q),)
+            return
         values = pad_side(by_value, min(len(by_value) + q, 1 << n))
         for side in itertools.combinations(values, q):
             sub = [p for v in side for p in by_value.get(v, ())]

@@ -136,6 +136,42 @@ def test_alpha_n_accepted_when_integral(capsys):
                "--alpha-n", "0.5") == 1
 
 
+def test_alpha_n_past_the_float_range_is_a_usage_error(capsys):
+    assert run("cond", "--spec", "pi1", "--n", "2", "--alpha-n", "2000") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid configuration: --alpha-n 2000.0 gives "
+                            "a side size 2^2000.0 out of range\n")
+
+
+def test_missing_input_file_is_an_error_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for command in (("decompose", "--spec", "pi1", "--n", "2", "--q", "2",
+                     "--eps1", "0.25", "--eps2", "0.25", "--eps3", "0.1",
+                     "--box-file", missing),
+                    ("perm", "verify", "--spec", "table", "--table-file", missing)):
+        assert run(*command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    path = str(tmp_path / "search.ckpt")
+    cond = ("cond", "--spec", "pi1", "--n", "2", "--q", "2", "--checkpoint", path)
+    for command, flag in (
+            (("experiment", "--n", "2", "--q", "2", "--count", "-1"), "--count"),
+            (cond + ("--checkpoint-every", "-5"), "--checkpoint-every")):
+        assert run(*command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: invalid configuration: {flag} "
+                                f"must be nonnegative, got {command[-1]}\n")
+    # 0 still means no periodic writes, only the final one
+    assert run(*cond, "--checkpoint-every", "0") == 0
+    assert "condd=3" in capsys.readouterr().out
+
+
 def test_decompose_matches_library(tmp_path, capsys):
     out = tmp_path / "dump.json"
     code = run("decompose", "--spec", "pi1", "--n", "2", "--w", "3", "--q", "2",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlab import conductance
 from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box
 from condlab.condenser import (
     Decomposition,
@@ -23,7 +24,7 @@ from condlab.condenser import (
     size_below,
     verify_converse_bounds,
 )
-from condlab.errors import RangeError, ShapeError, UndefinedEntropyError
+from condlab.errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
 from condlab.perms import PermutationSpec, random_table, unpack_words
 
 
@@ -327,24 +328,51 @@ def test_identity_box_image_marks_r0_unverified():
     assert report.precondition_held is False
 
 
-def test_precomputed_intersection_skips_the_search():
-    spec = PermutationSpec.pi1(2)
-    box = QBox(((0, 2), (1, 3), (0, 1)), 2)
-    dec = decompose(image_of_box(spec, box), 1.0, 0.25, 0.25)
-    report = verify_converse_bounds(dec, 0.1, max_box_intersection=5)
-    assert report.max_box_intersection == 5
-    assert report.precondition_checked
-
-
-def test_verified_branch_arithmetic_with_synthetic_precondition():
+def test_verified_branch_arithmetic_with_synthetic_precondition(monkeypatch):
     # force the precondition to hold to exercise the conditional R0 bound
+    monkeypatch.setattr(conductance, "_best_box_bnb",
+                        lambda points, n, w, q, **_: (1, ((0, 1, 2, 3),) * 3))
     ps = PointSet(random.Random(3).sample(range(64), 30), 2, 3)
     dec = decompose(ps, 2.0, 0.05, 0.05)
-    report = verify_converse_bounds(dec, 0.05, max_box_intersection=1)
+    report = verify_converse_bounds(dec, 0.05)
     by_name = {c.name: c for c in report.checks}
+    assert report.max_box_intersection == 1
     assert report.precondition_held is True
     expected = len(dec.r0) <= 2.0 ** ((1 - 0.05) * 6.0)
     assert by_name["r0_size"].holds == expected
+
+
+def test_refused_inner_search_leaves_the_precondition_unverified(monkeypatch):
+    def refuse(points, n, w, q, incumbent=-1, node_budget=None):
+        raise BudgetError(f"inner search exceeded its node budget of {node_budget}",
+                          refused=node_budget + 1)
+
+    monkeypatch.setattr(conductance, "_best_box_bnb", refuse)
+    box = QBox(((0, 1), (0, 1), (0, 1)), 2)
+    dec = decompose(image_of_box(PermutationSpec.identity(2, 3), box), 1.0, 0.25, 0.25)
+    report = verify_converse_bounds(dec, 0.1)
+    by_name = {c.name: c for c in report.checks}
+    assert report.precondition_checked is False
+    assert report.precondition_held is None
+    assert report.max_box_intersection is None
+    assert by_name["r0_size"].holds is None
+    assert by_name["r0_size"].note == (
+        "unverified: intersection precondition not checked (inner search "
+        f"exceeded its node budget of {conductance.DEFAULT_INNER_NODE_BUDGET})"
+    )
+    assert by_name["r1_size"].holds is True
+
+
+def test_empty_decomposition_is_not_checked():
+    empty = PointSet((), 2, 3)
+    dec = Decomposition(parts=(empty,) * 3, r0=empty, r1=empty, n=2, w=3,
+                        alpha_n=1.0, eps1=0.25, eps2=0.25)
+    report = verify_converse_bounds(dec, 0.1)
+    by_name = {c.name: c for c in report.checks}
+    assert report.precondition_checked is False
+    assert report.precondition_held is None
+    assert by_name["r0_size"].note == "unverified: intersection precondition not checked"
+    assert by_name["r1_size"].holds is True
 
 
 def test_r1_bound_is_unconditional():
@@ -352,7 +380,7 @@ def test_r1_bound_is_unconditional():
     for _ in range(50):
         ps = PointSet(rng.sample(range(64), rng.randrange(1, 65)), 2, 3)
         dec = decompose(ps, 1.0, 0.25, 0.5)
-        report = verify_converse_bounds(dec, 0.2, check_precondition=False)
+        report = verify_converse_bounds(dec, 0.2)
         r1 = next(c for c in report.checks if c.name == "r1_size")
         assert r1.holds is True
         assert len(dec.r1) <= 3 * 2.0 ** (1.0 * (3 - 0.5))
@@ -423,6 +451,11 @@ def test_profile_deterministic_across_threads():
 def test_profile_rejects_fractional_side_size():
     with pytest.raises(RangeError):
         empirical_condenser_profile(PermutationSpec.pi1(2), 0.5, 0.1, 0.1, 1, 0)
+
+
+def test_profile_rejects_a_side_size_past_the_float_range():
+    with pytest.raises(RangeError, match="out of range"):
+        empirical_condenser_profile(PermutationSpec.pi1(2), 2000.0, 0.1, 0.1, 1, 0)
 
 
 def test_profile_rejects_a_side_larger_than_the_alphabet():

@@ -233,16 +233,32 @@ def test_best_v_matches_enumeration_over_all_boxes():
         points = rng.sample(range(1 << (n * w)), size)
         found, count = best_V_for_U(PointSet(points, n, w), q)
         assert (count, found.sides) == _brute_best_v(points, n, w, q), (n, w, q)
+    # the last coordinate takes its fattest side directly: one coordinate
+    # alone, fewer occurring values than q, and tied slice sizes
+    cases = [(3, 1, q, rng.sample(range(8), rng.randint(1, 8))) for q in range(1, 9)]
+    cases += [(3, 2, q, [pack_words((a, b), 3) for a in (1, 6) for b in (2, 5)])
+              for q in (2, 3, 4)]
+    cases += [(3, 2, q, [pack_words(p, 3) for p in
+                         ((0, 7), (1, 7), (2, 3), (3, 3), (4, 1), (5, 1), (5, 6))])
+              for q in (1, 2, 3)]
+    for n, w, q, points in cases:
+        found, count = best_V_for_U(PointSet(points, n, w), q)
+        assert (count, found.sides) == _brute_best_v(points, n, w, q), (n, w, q)
 
 
 INNER_REACH_SCRIPT = """
-from condlab.boxes import QBox, image_of_box
+from condlab.boxes import PointSet, QBox, image_of_box
 from condlab.conductance import best_V_for_U
 from condlab.perms import PermutationSpec
 for n in range(5, 13):
     box = QBox(((0, 1, 2, 3),) * 3, n)
     found, count = best_V_for_U(image_of_box(PermutationSpec.pi1(n), box), 4)
     print(n, count, found.sides)
+# every value, or every third one, occurs on the last coordinate
+for points, w, q in ((range(1024), 1, 4),
+                     ([(5 << 10) | v for v in range(0, 1024, 3)], 2, 3)):
+    found, count = best_V_for_U(PointSet(points, 10, w), q)
+    print(count, found.sides)
 """
 
 
@@ -253,7 +269,8 @@ def test_inner_search_does_not_walk_the_alphabet():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     want = ((0, 1, 2, 3),) * 3
-    assert proc.stdout.splitlines() == [f"{n} 48 {want}" for n in range(5, 13)]
+    assert proc.stdout.splitlines() == [f"{n} 48 {want}" for n in range(5, 13)] + [
+        "4 ((0, 1, 2, 3),)", "3 ((0, 1, 5), (0, 3, 6))"]
 
 
 def test_best_v_rejects_empty_set():
