@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, RangeError, ShapeError
+from .errors import BudgetError, NotAPermutationError, RangeError, ShapeError
 from .perms import PermutationSpec, pack_words
 
 DEFAULT_ENUM_BUDGET = 10 ** 6
@@ -257,7 +257,10 @@ def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
 
 
 def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
-    """The exact image point set of a box under a permutation spec."""
+    """The exact image point set of a box under a permutation spec.
+
+    Raises NotAPermutationError, with the two box inputs as ``witness``,
+    when the spec maps two points of the box to one output."""
     if box.n != spec.n or box.w != spec.w:
         raise ShapeError(
             f"box shape (n={box.n}, w={box.w}) does not match spec "
@@ -269,7 +272,21 @@ def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_B
             f"box holds {size} points, over the budget of {budget}",
             refused=size,
         )
-    return PointSet((spec.apply_packed(p) for p in box.packed_points()), box.n, box.w)
+    inputs = box.packed_points()
+    outputs = [spec.apply_packed(p) for p in inputs]
+    try:
+        return PointSet(outputs, box.n, box.w)
+    except ShapeError:
+        owner = {}
+        for x, y in zip(inputs, outputs):
+            if y in owner:
+                raise NotAPermutationError(
+                    f"box inputs {owner[y]:#x} and {x:#x} both map to {y:#x}; "
+                    "the box searches need a bijection",
+                    witness=(owner[y], x),
+                ) from None
+            owner[y] = x
+        raise
 
 
 def intersection_count(points: PointSet, box: QBox) -> int:

@@ -25,6 +25,7 @@ the unit interval around log2(size).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -210,6 +211,10 @@ class Decomposition:
     ended up large enough; otherwise the pile went to ``r1``. ``r0`` is
     what remained when no bottleneck slice was left. ``slice_log`` records
     every cut as (iteration, coordinate, value, size), 1-based iterations.
+
+    Construction refuses a negative (or nan) alpha_n, eps1 or eps2, and an
+    alpha_n whose box size q^w = 2^(alpha_n*w) lies past the float range:
+    the bound checks could not evaluate their thresholds.
     """
 
     parts: tuple
@@ -221,6 +226,13 @@ class Decomposition:
     eps1: float
     eps2: float
     slice_log: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not (self.eps1 >= 0 and self.eps2 >= 0):
+            raise RangeError(f"eps1 and eps2 must be nonnegative, got {self.eps1}, {self.eps2}")
+        if not self.alpha_n >= 0 or math.isinf(side_size(self.alpha_n * self.w)):
+            raise RangeError(f"alpha_n must be nonnegative with a box size 2^(alpha_n*w) in "
+                             f"the float range, got alpha_n={self.alpha_n}, w={self.w}")
 
     @property
     def q(self) -> int | float:
@@ -320,6 +332,13 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
     each pile as a part only when it clears the keeping threshold; small
     piles are swept into R1 and the uncut remainder is R0. Terminates in
     at most |points| cuts since every cut removes at least one point.
+
+    Slices only shrink and :func:`size_below` is monotone in the size, so
+    a slice stays below the cut threshold from the cut that first brings
+    it there until it empties. Each coordinate keeps a min-heap of its
+    qualifying values, fed when a slice crosses the threshold; entries of
+    emptied slices are dropped when they surface. With N points and V
+    values per coordinate the loop costs O(N*w + cuts*log V).
     """
     if len(points) == 0:
         raise ShapeError("cannot decompose an empty point set")
@@ -329,32 +348,34 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
 
     groups = [{y: set(ps) for y, ps in slices(points.points, n, w, i).items()}
               for i in range(w)]
+    # an ascending list is already a heap
+    ready = [sorted(y for y, bucket in g.items() if size_below(len(bucket), cut_e))
+             for g in groups]
 
     piles = [[] for _ in range(w)]
     log = []
-    iteration = 0
     while True:
-        found = None
         for i in range(w):
-            for y in sorted(groups[i]):
-                if size_below(len(groups[i][y]), cut_e):
-                    found = (i, y)
-                    break
-            if found:
+            heap = ready[i]
+            while heap and heap[0] not in groups[i]:
+                heapq.heappop(heap)
+            if heap:
                 break
-        if not found:
+        else:
             break
-        iteration += 1
-        i, y = found
+        y = heapq.heappop(heap)
         cut = sorted(groups[i][y])
-        log.append((iteration, i, y, len(cut)))
+        log.append((len(log) + 1, i, y, len(cut)))
         piles[i].extend(cut)
         for j in range(w):
             for v, gone in slices(cut, n, w, j).items():
                 bucket = groups[j][v]
+                was_below = size_below(len(bucket), cut_e)
                 bucket.difference_update(gone)
                 if not bucket:
                     del groups[j][v]
+                elif not was_below and size_below(len(bucket), cut_e):
+                    heapq.heappush(ready[j], v)
 
     remaining = sorted(p for bucket in groups[0].values() for p in bucket)
     r1 = []

@@ -250,10 +250,14 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                       checkpoint_every: int = 1000) -> ConductanceReport:
     """The true maximum of |pi(U) ∩ V| over all q-box pairs, with the
     lexicographically smallest witnesses. Deterministic; ``threads`` is
-    accepted for interface symmetry and ignored."""
+    accepted for interface symmetry and ignored. With a ``checkpoint_path``
+    the cursor is written every ``checkpoint_every`` boxes (0: only at the
+    end and on a budget refusal)."""
     del threads
     t0 = time.monotonic()
     _check_box_params(spec.n, q, spec.w)
+    if checkpoint_every < 0:
+        raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
     total = box_count(spec.n, q, spec.w)
     if total > outer_budget:
         raise BudgetError(

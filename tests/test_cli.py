@@ -172,6 +172,23 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
     assert "condd=3" in capsys.readouterr().out
 
 
+def test_box_searches_on_a_non_bijective_spec_exit_1(capsys):
+    errors = []
+    for command in (("cond", "--spec", "bothmix", "--n", "2", "--q", "2", "--mode", "exact"),
+                    ("cond", "--spec", "bothmix", "--n", "2", "--q", "2",
+                     "--mode", "heuristic", "--budget", "50"),
+                    ("condenser-profile", "--spec", "bothmix", "--n", "2", "--q", "2",
+                     "--eps1", "0.25", "--eps2", "0.25", "--trials", "20")):
+        assert run(*command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == ("error: box inputs 0x11 and 0x14 both map to 0x15; "
+                         "the box searches need a bijection\n")
+    assert all(e.startswith("error: box inputs ")
+               and e.endswith("; the box searches need a bijection\n") for e in errors)
+
+
 def test_decompose_matches_library(tmp_path, capsys):
     out = tmp_path / "dump.json"
     code = run("decompose", "--spec", "pi1", "--n", "2", "--w", "3", "--q", "2",

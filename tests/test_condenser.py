@@ -1,10 +1,15 @@
 """Min-entropy, flat peeling, slice cutting, and residual bound tests."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,7 @@ from condlab.condenser import (
     verify_converse_bounds,
 )
 from condlab.errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
-from condlab.perms import PermutationSpec, random_table, unpack_words
+from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 
 # --- straight-line reference: recompute every slice from scratch each pass ---
@@ -243,19 +248,84 @@ def test_decompose_matches_reference_trace_on_pi1_image():
     assert list(dec.slice_log) == log
 
 
+def assert_matches_reference(ps, alpha_n, eps1, eps2):
+    dec = decompose(ps, alpha_n, eps1, eps2)
+    parts, r0, r1, log = reference_decompose(ps.points, ps.n, ps.w, alpha_n, eps1, eps2)
+    assert [set(p.points) for p in dec.parts] == parts
+    assert set(dec.r0.points) == r0
+    assert set(dec.r1.points) == r1
+    assert list(dec.slice_log) == log
+    return dec
+
+
 @pytest.mark.parametrize("eps", [(0.25, 0.25), (0.5, 0.25), (0.75, 0.5), (0.0, 1.0)])
 def test_decompose_matches_reference_trace_on_random_sets(eps):
+    # words drawn from a random prefix of the alphabet keep the sets dense
+    # enough for cuts on one coordinate to thin the slices of the others
     eps1, eps2 = eps
     rng = random.Random(99)
-    for _ in range(25):
-        size = rng.randrange(1, 65)
-        ps = PointSet(rng.sample(range(64), size), 2, 3)
-        dec = decompose(ps, 1.0, eps1, eps2)
-        parts, r0, r1, log = reference_decompose(ps.points, 2, 3, 1.0, eps1, eps2)
-        assert [set(p.points) for p in dec.parts] == parts
-        assert set(dec.r0.points) == r0
-        assert set(dec.r1.points) == r1
-        assert list(dec.slice_log) == log
+    cuts = returns = 0
+    for n, w, alpha_n in itertools.product(range(1, 5), range(1, 5), (0.5, 1.0, 1.5, 2.0, 3.0)):
+        # the reference compares against a float power: keep the threshold
+        # an exact power of two or clear of every integer slice size
+        cut_e = alpha_n * (w - 1 - eps1 - eps2)
+        assert cut_e == int(cut_e) or abs(2 ** cut_e - round(2 ** cut_e)) > 1e-6
+        for _ in range(5):
+            k = rng.randint(1, 1 << n)
+            cube = [pack_words(t, n) for t in itertools.product(range(k), repeat=w)]
+            ps = PointSet(rng.sample(cube, rng.randint(1, min(len(cube), 60))), n, w)
+            log = assert_matches_reference(ps, alpha_n, eps1, eps2).slice_log
+            cuts += len(log)
+            returns += any(b[1] < a[1] for a, b in zip(log, log[1:]))
+    # enough cuts, and enough traces that go back to a lower coordinate
+    assert cuts > 600 and returns > 30
+
+
+def packed_set(words, n):
+    return PointSet([pack_words(t, n) for t in words], n, len(words[0]))
+
+
+def test_a_cut_can_qualify_a_smaller_value_of_a_queued_coordinate():
+    # threshold 2^(2*(2-1-0.5)) = 2: only single-point slices qualify.
+    # Cutting (0, 0) thins the coordinate-1 slice of value 0 to one point,
+    # so it goes before the value 3 that qualified from the start.
+    ps = packed_set([(0, 0), (1, 0), (1, 3)], 2)
+    dec = assert_matches_reference(ps, 2.0, 0.25, 0.25)
+    assert dec.slice_log == ((1, 0, 0, 1), (2, 1, 0, 1), (3, 0, 1, 1))
+
+
+def test_a_cut_on_coordinate_1_sends_the_next_cut_back_to_coordinate_0():
+    # no coordinate-0 slice qualifies at first; cutting (1, 0) thins the
+    # coordinate-0 slice of value 0, which then goes before (1, 3)
+    ps = packed_set([(0, 0), (0, 2), (1, 2), (1, 3)], 2)
+    dec = assert_matches_reference(ps, 2.0, 0.25, 0.25)
+    assert dec.slice_log == ((1, 1, 0, 1), (2, 0, 0, 1), (3, 1, 2, 1), (4, 0, 1, 1))
+
+
+CUT_REACH_SCRIPT = """
+import json, time
+from condlab import PointSet, decompose
+
+points = PointSet([(a << 16) | a for a in range(1 << 16)], 16, 2)
+t0 = time.perf_counter()
+dec = decompose(points, 4.0, 0.25, 0.25)
+print(json.dumps({"seconds": time.perf_counter() - t0, "cuts": len(dec.slice_log),
+                  "kept": [len(part) for part in dec.parts]}))
+"""
+
+
+def test_cut_loop_is_near_linear_when_every_slice_qualifies():
+    # 2^16 single-point slices on each coordinate, threshold 2^2: every
+    # cut takes coordinate 0's smallest value, 65,536 cuts in all. A loop
+    # that rescans the qualifying values on each cut is quadratic here
+    # (about 20 s); the heap loop takes well under a second.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", CUT_REACH_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["cuts"] == 1 << 16 and seen["kept"] == [1 << 16, 0]
+    assert seen["seconds"] < 5
 
 
 def test_decompose_produces_kept_parts_somewhere():
@@ -397,6 +467,28 @@ def test_decomposition_json_round_trip():
     assert back.r1 == dec.r1
     assert back.slice_log == dec.slice_log
     back.validate()
+
+
+def test_decomposition_refuses_negative_parameters_and_an_unrepresentable_box_size():
+    ps = PointSet(range(8), 1, 3)
+    blob = decompose(ps, 1.0, 0.25, 0.25).to_json_dict()
+    # 2^1000 is a float, but the R1 bound 3 * 2^(1000 * 2.75) is not, nor
+    # is 3 * 2^(-500 * (3 - 10))
+    box_size = "box size 2\\^\\(alpha_n\\*w\\) in the float range, got alpha_n="
+    for alpha_n, eps1, eps2, message in (
+            (2000.0, 0.25, 0.25, box_size + "2000.0, w=3"),
+            (1000.0, 0.25, 0.25, box_size + "1000.0, w=3"),
+            (-500.0, 0.25, 10.0, "alpha_n must be nonnegative"),
+            (1.0, -0.25, 0.25, "eps1 and eps2 must be nonnegative, got -0.25, 0.25"),
+            (1.0, 0.25, -0.5, "eps1 and eps2 must be nonnegative, got 0.25, -0.5"),
+            (1.0, math.nan, 0.25, "eps1 and eps2 must be nonnegative")):
+        with pytest.raises(RangeError, match=message):
+            decompose(ps, alpha_n, eps1, eps2)
+        bad = dict(blob, alpha_n=alpha_n, eps1=eps1, eps2=eps2)
+        with pytest.raises(RangeError, match=message):
+            Decomposition.from_json_dict(bad)
+    # a box size near the top of the float range still validates
+    decompose(ps, 341.1, 0.25, 0.25).validate()
 
 
 def test_decomposition_json_rejects_negative_points():

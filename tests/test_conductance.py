@@ -31,7 +31,13 @@ from condlab.conductance import (
     read_checkpoint,
     replay_witness,
 )
-from condlab.errors import BudgetError, CondlabError, RangeError, ShapeError
+from condlab.errors import (
+    BudgetError,
+    CondlabError,
+    NotAPermutationError,
+    RangeError,
+    ShapeError,
+)
 from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 from naive_oracle import (
@@ -446,6 +452,43 @@ def test_checkpoint_file_format(tmp_path):
     assert fields["cursor"] == "(6,0)"  # exhausted: 36 boxes, radix 6
     assert fields["boxes_examined"] == "36"
     assert ";" in fields["witness_u"] and "," in fields["witness_u"]
+
+
+def test_negative_checkpoint_every_is_refused_before_any_write(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    writes = []
+    real_write = conductance.write_checkpoint
+    monkeypatch.setattr(conductance, "write_checkpoint",
+                        lambda *args: writes.append(args[3]) or real_write(*args))
+    path = str(tmp_path / "every.ckpt")
+    spec = PermutationSpec.pi1(2)
+    with pytest.raises(RangeError, match="checkpoint_every must be nonnegative, got -5"):
+        exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=-5)
+    assert writes == [] and not os.path.exists(path)
+    # 0 writes no periodic checkpoints, only the final one
+    report = exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=0)
+    assert writes == [report.boxes_examined]
+
+
+def test_box_searches_name_two_inputs_of_a_non_bijective_spec():
+    from condlab.condenser import empirical_condenser_profile
+
+    spec = PermutationSpec.bothmix(2)
+    for search in (lambda: exact_conductance(spec, 2),
+                   lambda: heuristic_lower_bound(spec, 2, budget=50, seed=0),
+                   lambda: empirical_condenser_profile(spec, 1.0, 0.25, 0.25, 20, 0)):
+        with pytest.raises(NotAPermutationError, match="the box searches need a bijection") as exc:
+            search()
+        x, y = exc.value.witness
+        assert x != y and spec.apply_packed(x) == spec.apply_packed(y)
+    box = QBox(((0, 1), (0, 1), (0, 1)), 2)
+    with pytest.raises(NotAPermutationError) as exc:
+        image_of_box(spec, box)
+    # (1, 0, 1) and (1, 1, 0) both go to (1, 1, 1)
+    assert exc.value.witness == (0x11, 0x14)
+    assert str(exc.value) == ("box inputs 0x11 and 0x14 both map to 0x15; "
+                              "the box searches need a bijection")
 
 
 def test_condenser_bound_covers_measured_degree_with_empirical_epsilons():
