@@ -59,10 +59,6 @@ class QBox:
         n = self.n
         return [pack_words(t, n) for t in itertools.product(*self.sides)]
 
-    def rank_tuple(self) -> tuple[int, ...]:
-        """Per-side combination ranks (the enumeration cursor)."""
-        return tuple(combination_rank(s, 1 << self.n) for s in self.sides)
-
     @classmethod
     def from_ranks(cls, ranks, n: int, q: int) -> "QBox":
         sides = tuple(combination_unrank(r, 1 << n, q) for r in ranks)
@@ -219,15 +215,6 @@ def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_ENUM_BUDGET):
             refused=total,
         )
     yield from enumerate_qboxes_range(n, q, w, 0, total)
-
-
-def box_at_rank(rank: int, n: int, q: int, w: int) -> QBox:
-    """The box at a global lexicographic rank (mixed-radix over sides)."""
-    return QBox.from_ranks(rank_to_digits(rank, comb(1 << n, q), w), n, q)
-
-
-def global_rank(box: QBox) -> int:
-    return digits_to_rank(box.rank_tuple(), comb(1 << box.n, box.q))
 
 
 def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):

@@ -188,9 +188,12 @@ def _scaled_below(size: int, shift: float, limit: int) -> bool:
 
 def side_size(alpha_n: float) -> int | float:
     """The side size 2^alpha_n: an int when it is one to within 1e-9, else
-    a float, infinite past the float range (and for nan)."""
+    a float, infinite past the float range (and for nan). Every float from
+    2^52 up is whole, so there only an integer alpha_n gives an int."""
     size = 2.0 ** alpha_n if alpha_n < 1024 else math.inf
-    return size if math.isinf(size) or abs(size - round(size)) > 1e-9 else round(size)
+    if math.isinf(size) or abs(size - round(size)) > 1e-9 or size >= 2 ** 52 and alpha_n % 1:
+        return size
+    return round(size)
 
 
 def cut_exponent(alpha_n: float, w: int, eps1: float, eps2: float) -> float:
@@ -458,8 +461,9 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     The R0 bound needs the exact maximum of |S ∩ V| over q-boxes V for the
     source set S, which :func:`best_V_for_U` computes under its default
     node budget. The precondition stays unchecked, and the R0 bound
-    unverified, when q is not an integer, when S is empty, or when the
-    search exceeds its budget.
+    unverified, when q is not an integer, when q exceeds the alphabet size
+    2^n (no q-box exists), when S is empty, or when the search exceeds its
+    budget.
     """
     if eps3 < 0:
         raise RangeError(f"eps3 must be nonnegative, got {eps3}")
@@ -470,7 +474,9 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     max_int = None
     note = "unverified: intersection precondition not checked"
     source = dec.source_points()
-    if isinstance(dec.q, int) and len(source):
+    if isinstance(dec.q, int) and dec.q > 1 << dec.n:
+        note += f" (q={dec.q} exceeds the alphabet size 2^{dec.n}; no q-box exists)"
+    elif isinstance(dec.q, int) and len(source):
         try:
             _, max_int = best_V_for_U(source, dec.q)
         except BudgetError as exc:

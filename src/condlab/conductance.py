@@ -54,6 +54,8 @@ from .perms import PermutationSpec
 
 DEFAULT_OUTER_BUDGET = 10 ** 6
 DEFAULT_INNER_NODE_BUDGET = 10 ** 7
+# Python's default limit on the decimal digits of an int it prints
+_PRINTABLE_DIGITS = 4300
 
 
 def degree_from_count(q: int, count: int, w: int) -> float:
@@ -206,40 +208,43 @@ def _budget_refusal_message(n: int, q: int, w: int, total: int, budget: int) -> 
     return msg
 
 
-def _scan_range(spec, q, start, stop, incumbent, inner_node_budget,
-                checkpoint_path=None, checkpoint_every=0,
-                init_u=None, init_v=None):
-    """Scan boxes with global ranks in [start, stop); returns the best
-    (count, u_sides, v_sides) and the number examined. ``init_u``/``init_v``
-    carry resumed witnesses so that checkpoints written before any
-    improvement stay replayable. When the inner search runs out of nodes,
-    the checkpoint is written at the failing box's rank before the error
-    propagates, so a resumed run loses no progress."""
-    best = incumbent
-    best_u = init_u
-    best_v = init_v
-    rank = start
-    for ubox in enumerate_qboxes_range(spec.n, q, spec.w, start, stop):
-        img = image_of_box(spec, ubox)
-        try:
-            count, sides = _best_box_bnb(
-                img.points, spec.n, spec.w, q, incumbent=best,
-                node_budget=inner_node_budget,
-            )
-        except BudgetError:
-            if checkpoint_path:
-                write_checkpoint(
-                    checkpoint_path, spec, q, rank, best, best_u, best_v, rank,
-                )
-            raise
-        if sides is not None:
-            best, best_u, best_v = count, ubox.sides, sides
-        rank += 1
-        if checkpoint_path and checkpoint_every and (rank - start) % checkpoint_every == 0:
-            write_checkpoint(
-                checkpoint_path, spec, q, rank, best, best_u, best_v, rank,
-            )
-    return best, best_u, best_v, rank - start
+def _outer_box_count(n: int, q: int, w: int, budget: int) -> int:
+    """C(2^n, q)^w, or a BudgetError when it is over ``budget``. A count
+    past the digits an int prints is named by its size and not given as
+    ``refused``; when the bound C(2^n, q) >= (2^n/q)^q already puts it
+    there, it is not computed at all."""
+    digits = q * w * math.log10((1 << n) / q)
+    if digits <= _PRINTABLE_DIGITS or digits <= math.log10(max(budget, 1)):
+        total = box_count(n, q, w)
+        if total <= budget:
+            return total
+        digits = math.log10(total)
+        if digits < _PRINTABLE_DIGITS:
+            raise BudgetError(_budget_refusal_message(n, q, w, total, budget), refused=total)
+    raise BudgetError(
+        f"exact search needs C(2^{n},{q})^{w} >= 10^{math.floor(digits)} outer boxes, "
+        f"over the budget of {budget}"
+    )
+
+
+def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sides,
+            examined: int, t0: float) -> ConductanceReport:
+    """The report of either search: alpha, condd and the wall time since
+    ``t0`` are derived here."""
+    return ConductanceReport(
+        n=spec.n,
+        w=spec.w,
+        q=q,
+        alpha=math.log2(q) / spec.n,
+        mode=mode,
+        max_count=count,
+        condd=degree_from_count(q, count, spec.w),
+        witness_u=QBox(u_sides, spec.n),
+        witness_v=QBox(v_sides, spec.n),
+        boxes_examined=examined,
+        exhausted=mode == "exact",
+        wall_seconds=time.monotonic() - t0,
+    )
 
 
 def exact_conductance(spec: PermutationSpec, q: int, *,
@@ -250,25 +255,24 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                       checkpoint_every: int = 1000) -> ConductanceReport:
     """The true maximum of |pi(U) ∩ V| over all q-box pairs, with the
     lexicographically smallest witnesses. Deterministic; ``threads`` is
-    accepted for interface symmetry and ignored. With a ``checkpoint_path``
-    the cursor is written every ``checkpoint_every`` boxes (0: only at the
-    end and on a budget refusal)."""
+    accepted for interface symmetry and ignored.
+
+    With a ``checkpoint_path`` the search resumes from an existing file
+    and writes one every ``checkpoint_every`` boxes of this session (0:
+    none), at the end, and at the failing box when the inner search runs
+    out of nodes. A checkpoint holds the rank of the next box as its
+    cursor, and its ``boxes_examined`` is that rank; a file whose cursor is
+    out of range, whose count differs from the cursor's rank, or that is
+    past box 0 without an incumbent and both witnesses is refused."""
     del threads
     t0 = time.monotonic()
     _check_box_params(spec.n, q, spec.w)
     if checkpoint_every < 0:
         raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
-    total = box_count(spec.n, q, spec.w)
-    if total > outer_budget:
-        raise BudgetError(
-            _budget_refusal_message(spec.n, q, spec.w, total, outer_budget),
-            refused=total,
-        )
+    total = _outer_box_count(spec.n, q, spec.w, outer_budget)
 
     start = 0
-    incumbent = -1
-    resumed_u = resumed_v = None
-    examined_before = 0
+    best, best_u, best_v = -1, None, None
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = read_checkpoint(checkpoint_path)
         if ck["spec"] != spec.digest() or ck["q"] != q or len(ck["cursor"]) != spec.w:
@@ -277,40 +281,36 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
             )
         radix = comb(1 << spec.n, q)
         start = digits_to_rank(ck["cursor"], radix)
-        # the cursor spells a rank in [0, total]; past box 0 a run holds an
-        # incumbent with both witnesses
         if (not 0 <= start <= total or rank_to_digits(start, radix, spec.w) != ck["cursor"]
+                or ck["boxes_examined"] != start
                 or start and (ck["max_count"] < 1 or None in (ck["witness_u"], ck["witness_v"]))):
             raise CondlabError(f"checkpoint {checkpoint_path} holds an invalid cursor "
-                               f"{ck['cursor']} or incumbent max_count={ck['max_count']}")
-        incumbent = ck["max_count"]
-        resumed_u, resumed_v = ck["witness_u"], ck["witness_v"]
-        examined_before = ck["boxes_examined"]
+                               f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
+                               f"or incumbent max_count={ck['max_count']}")
+        best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
 
-    best, u_sides, v_sides, done = _scan_range(
-        spec, q, start, total, incumbent, inner_node_budget,
-        checkpoint_path, checkpoint_every, resumed_u, resumed_v,
-    )
-    examined = examined_before + done
+    # rank is the cursor: the next box's rank and the number examined
+    rank = start
+    for ubox in enumerate_qboxes_range(spec.n, q, spec.w, start, total):
+        img = image_of_box(spec, ubox)
+        try:
+            count, sides = _best_box_bnb(
+                img.points, spec.n, spec.w, q, incumbent=best,
+                node_budget=inner_node_budget,
+            )
+        except BudgetError:
+            if checkpoint_path:
+                write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+            raise
+        if sides is not None:
+            best, best_u, best_v = count, ubox.sides, sides
+        rank += 1
+        if checkpoint_path and checkpoint_every and (rank - start) % checkpoint_every == 0:
+            write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
 
     if checkpoint_path:
-        write_checkpoint(checkpoint_path, spec, q, total, best, u_sides,
-                         v_sides, examined)
-    wall = time.monotonic() - t0
-    return ConductanceReport(
-        n=spec.n,
-        w=spec.w,
-        q=q,
-        alpha=math.log2(q) / spec.n,
-        mode="exact",
-        max_count=best,
-        condd=degree_from_count(q, best, spec.w),
-        witness_u=QBox(u_sides, spec.n),
-        witness_v=QBox(v_sides, spec.n),
-        boxes_examined=examined,
-        exhausted=True,
-        wall_seconds=wall,
-    )
+        write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+    return _report(spec, q, "exact", best, best_u, best_v, rank, t0)
 
 
 # --- heuristic lower bound --------------------------------------------------
@@ -378,20 +378,7 @@ def heuristic_lower_bound(spec: PermutationSpec, q: int, budget: int = 200,
         raise AssertionError(
             f"heuristic witness replays to {replayed}, not the claimed {best_count}"
         )
-    return ConductanceReport(
-        n=n,
-        w=w,
-        q=q,
-        alpha=math.log2(q) / n if q > 1 else 0.0,
-        mode="heuristic",
-        max_count=best_count,
-        condd=degree_from_count(q, best_count, w),
-        witness_u=best_u,
-        witness_v=best_v,
-        boxes_examined=evals,
-        exhausted=False,
-        wall_seconds=time.monotonic() - t0,
-    )
+    return _report(spec, q, "heuristic", best_count, best_u.sides, best_v.sides, evals, t0)
 
 
 # --- notation conversion ----------------------------------------------------
@@ -523,9 +510,9 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 # --- checkpoint files --------------------------------------------------------
 #
 # Format: `condlab-ckpt v1` header, then key=value lines: the spec digest,
-# the cursor as a decimal tuple of per-side combination ranks for the next
-# box to process, the incumbent max count, the incumbent witnesses as hex
-# sides, and the number of boxes examined so far.
+# q, the cursor as a decimal tuple of per-side combination ranks for the
+# next box to process, the incumbent max count, the incumbent witnesses as
+# hex sides, and boxes_examined, which is the cursor's rank.
 
 
 def _sides_to_text(sides) -> str:
@@ -543,7 +530,7 @@ def _sides_from_text(text: str):
 
 
 def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,
-                     max_count: int, u_sides, v_sides, examined: int) -> None:
+                     max_count: int, u_sides, v_sides) -> None:
     cursor = rank_to_digits(next_rank, comb(1 << spec.n, q), spec.w)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
@@ -554,7 +541,7 @@ def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,
         fh.write(f"max_count={max_count}\n")
         fh.write(f"witness_u={_sides_to_text(u_sides)}\n")
         fh.write(f"witness_v={_sides_to_text(v_sides)}\n")
-        fh.write(f"boxes_examined={examined}\n")
+        fh.write(f"boxes_examined={next_rank}\n")
     os.replace(tmp, path)
 
 

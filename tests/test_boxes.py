@@ -12,18 +12,18 @@ from hypothesis import strategies as st
 from condlab.boxes import (
     PointSet,
     QBox,
-    box_at_rank,
     box_count,
     combination_rank,
     combination_unrank,
     covering_box,
+    digits_to_rank,
     enumerate_qboxes,
     enumerate_qboxes_range,
-    global_rank,
     greedy_box,
     image_of_box,
     intersection_count,
     pad_side,
+    rank_to_digits,
     slices,
 )
 from condlab.errors import BudgetError, RangeError, ShapeError
@@ -73,10 +73,16 @@ def test_combination_rank_unrank_round_trip():
 
 
 def test_global_rank_round_trip_and_range_enumeration():
+    # a box's global rank is mixed-radix over its per-side combination
+    # ranks: the digits a checkpoint cursor holds
     boxes = list(enumerate_qboxes(2, 2, 2))
+    radix = comb(4, 2)
     for rank, box in enumerate(boxes):
-        assert global_rank(box) == rank
-        assert box_at_rank(rank, 2, 2, 2) == box
+        digits = tuple(combination_rank(side, 4) for side in box.sides)
+        assert digits_to_rank(digits, radix) == rank
+        assert rank_to_digits(rank, radix, 2) == digits
+        assert QBox.from_ranks(digits, 2, 2) == box
+    assert rank_to_digits(len(boxes), radix, 2) == (radix, 0)  # the exhausted cursor
     assert list(enumerate_qboxes_range(2, 2, 2, 7, 13)) == boxes[7:13]
     with pytest.raises(RangeError):
         list(enumerate_qboxes_range(2, 2, 2, -1, 3))

@@ -144,6 +144,15 @@ def test_alpha_n_past_the_float_range_is_a_usage_error(capsys):
                             "a side size 2^2000.0 out of range\n")
 
 
+def test_alpha_n_with_a_fractional_side_past_2_to_the_52_is_a_usage_error(capsys):
+    assert run("cond", "--spec", "pi1", "--n", "64", "--alpha-n", "53.5",
+               "--mode", "exact") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid configuration: --alpha-n 53.5 gives "
+                            "a non-integer side size 2^53.5\n")
+
+
 def test_missing_input_file_is_an_error_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     for command in (("decompose", "--spec", "pi1", "--n", "2", "--q", "2",

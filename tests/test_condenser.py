@@ -25,6 +25,7 @@ from condlab.condenser import (
     empirical_condenser_profile,
     flat_decomposition_check,
     min_entropy,
+    side_size,
     size_above,
     size_below,
     verify_converse_bounds,
@@ -443,6 +444,31 @@ def test_empty_decomposition_is_not_checked():
     assert report.precondition_held is None
     assert by_name["r0_size"].note == "unverified: intersection precondition not checked"
     assert by_name["r1_size"].holds is True
+
+
+def test_side_larger_than_the_alphabet_leaves_the_precondition_unchecked():
+    # q = 2^2 = 4 over a 1-bit alphabet: no q-box exists to maximize over
+    dec = decompose(PointSet(range(8), 1, 3), 2.0, 0.25, 0.25)
+    report = verify_converse_bounds(dec, 0.1)
+    by_name = {c.name: c for c in report.checks}
+    assert report.precondition_checked is False
+    assert report.precondition_held is None
+    assert report.max_box_intersection is None
+    assert by_name["r0_size"].holds is None
+    assert by_name["r0_size"].note == (
+        "unverified: intersection precondition not checked "
+        "(q=4 exceeds the alphabet size 2^1; no q-box exists)"
+    )
+    assert by_name["r1_size"].holds is True
+
+
+def test_side_size_is_an_int_past_2_to_the_52_only_for_integer_exponents():
+    # every float from 2^52 up is whole, so 2.0**52.5 carries no fraction
+    for alpha_n in (52.5, 53.5):
+        assert isinstance(side_size(alpha_n), float)
+    assert side_size(60) == 1 << 60 and isinstance(side_size(60), int)
+    assert side_size(60.0) == 1 << 60
+    assert side_size(math.log2(3)) == 3  # an int to within 1e-9 below 2^52
 
 
 def test_r1_bound_is_unconditional():

@@ -143,14 +143,62 @@ def test_outer_budget_refusal_names_count():
     assert exc.value.refused == math.comb(128, 16) ** 3
 
 
-def test_checkpoint_resume_equals_full_run(tmp_path):
-    from condlab.conductance import _scan_range, write_checkpoint
+def test_outer_count_past_the_printable_size_is_named_by_its_size():
+    spec = PermutationSpec.pi1(61)
+    # the bound (2^61/100)^300 already has 4908 digits: nothing is computed
+    with pytest.raises(BudgetError) as exc:
+        exact_conductance(spec, 100)
+    assert exc.value.refused is None
+    assert str(exc.value) == ("exact search needs C(2^61,100)^3 >= 10^4908 outer "
+                              "boxes, over the budget of 1000000")
+    # the bound fits 4300 digits but the count, computed, has 4396
+    with pytest.raises(BudgetError) as exc:
+        exact_conductance(spec, 87)
+    assert exc.value.refused is None
+    assert ">= 10^4395 outer boxes" in str(exc.value)
 
+
+@pytest.mark.parametrize("q", ["100", "1000000"])
+def test_cli_refuses_an_unprintable_outer_count_quickly(q):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "condlab", "cond", "--spec", "pi1", "--n", "61",
+         "--q", q, "--mode", "exact"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"budget refused: exact search needs C(2^61,{q})^3 >= 10^")
+    assert "refused count" not in proc.stderr and proc.stdout == ""
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _checkpoint_after_first_write(monkeypatch, spec, q, path, every):
+    """Run the exact search until it has written its first periodic
+    checkpoint, then stop it there, as an interrupted run would."""
+    from condlab import conductance
+
+    real_write = conductance.write_checkpoint
+
+    def write_then_stop(*args):
+        real_write(*args)
+        raise _Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "write_checkpoint", write_then_stop)
+        with pytest.raises(_Interrupted):
+            exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=every)
+    assert read_checkpoint(path)["boxes_examined"] == every
+
+
+def test_checkpoint_resume_equals_full_run(tmp_path, monkeypatch):
     spec = random_table(8, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "search.ckpt")
-    best, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 9, -1, None)
-    write_checkpoint(path, spec, 2, 9, best, u_sides, v_sides, 9)
+    _checkpoint_after_first_write(monkeypatch, spec, 2, path, 9)
     resumed = exact_conductance(spec, 2, checkpoint_path=path)
     assert resumed.max_count == full.max_count
     assert resumed.witness_u == full.witness_u
@@ -414,6 +462,7 @@ def test_precondition_equivalence_on_grid():
     ("(-1,3)", None),  # a negative rank, which would wrap the odometer
     ("(0,99)", None),  # digit over the radix 6: rank 99 of 36
     ("(6,0)", "-1"),   # the exhausted cursor with no incumbent
+    ("(1,0)", None),   # rank 6 with the finished run's boxes_examined=36
 ])
 def test_checkpoint_rejects_invalid_cursor(tmp_path, cursor, max_count):
     spec = random_table(8, 2, 2)
@@ -509,16 +558,13 @@ def test_condenser_bound_covers_measured_degree_with_empirical_epsilons():
     assert sheet.condenser_bound >= measured.condd
 
 
-def test_checkpoint_witnesses_survive_non_improving_sessions(tmp_path):
+def test_checkpoint_witnesses_survive_non_improving_sessions(tmp_path, monkeypatch):
     # resumed sessions that never beat the incumbent must keep writing the
     # inherited witnesses into their checkpoints
-    from condlab.conductance import _scan_range, write_checkpoint
-
     spec = random_table(5, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "chain.ckpt")
-    best, u_sides, v_sides, _ = _scan_range(spec, 2, 0, 30, -1, None)
-    write_checkpoint(path, spec, 2, 30, best, u_sides, v_sides, 30)
+    _checkpoint_after_first_write(monkeypatch, spec, 2, path, 30)
     for _ in range(2):  # second pass resumes an already-finished search
         report = exact_conductance(spec, 2, checkpoint_path=path,
                                    checkpoint_every=1)
