@@ -10,19 +10,23 @@ one place a word is read out of them, grouping points by the value of
 one coordinate. Sides that must reach size q are filled by
 :func:`pad_side`, the lexicographically smallest completion, and the
 densest side of one coordinate is :func:`fattest_side`.
+Box and point counts meet their budgets here (:func:`check_box_count`,
+:func:`check_point_count`), and :func:`random_box` is the one seeded draw.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BudgetError, NotAPermutationError, RangeError, ShapeError
+from .errors import (PRINTABLE_DIGITS, BudgetError, NotAPermutationError, RangeError,
+                     ShapeError, name_count)
 from .perms import PermutationSpec, pack_words
 
-DEFAULT_ENUM_BUDGET = 10 ** 6
+DEFAULT_BOX_BUDGET = 10 ** 6
 DEFAULT_POINT_BUDGET = 1 << 22
 
 
@@ -184,6 +188,47 @@ def _check_box_params(n: int, q: int, w: int):
         raise ShapeError(f"q={q} exceeds the alphabet size 2^{n}")
 
 
+def check_box_count(n: int, q: int, w: int, budget: int, task: str = "enumeration",
+                    unit: str = "boxes") -> int:
+    """C(2^n, q)^w, or a BudgetError when it is over ``budget`` that names
+    the one parameter whose reduction would fit. When the bound
+    C(2^n, q) >= (2^n/q)^q already puts the count past the budget and the
+    digits an int prints, the count is not computed."""
+    log10 = q * w * math.log10((1 << n) / q)
+    total = None
+    if log10 <= PRINTABLE_DIGITS or log10 <= math.log10(max(budget, 1)):
+        total = box_count(n, q, w)
+        if total <= budget:
+            return total
+    msg = (f"{task} needs C(2^{n},{q})^{w} {name_count(total, log10)} {unit}, "
+           f"over the budget of {budget}")
+    if total is not None:
+        for name, nn, qq, ww in (("q", n, q - 1, w), ("w", n, q, w - 1),
+                                 ("n", n - 1, min(q, 1 << (n - 1)), w)):
+            if qq >= 1 and ww >= 1 and nn >= 1 and box_count(nn, qq, ww) <= budget:
+                msg += f"; reducing {name} would fit"
+                break
+    raise BudgetError(msg, refused=total)
+
+
+def check_point_count(q: int, w: int, budget: int = DEFAULT_POINT_BUDGET) -> None:
+    """A BudgetError when the q^w points of one q-box are over ``budget``."""
+    size = q ** w
+    if size > budget:
+        raise BudgetError(f"box holds {name_count(size).removeprefix('= ')} points, "
+                          f"over the budget of {budget}", refused=size)
+
+
+def random_box(rng, n: int, q: int, w: int) -> tuple[tuple[int, ...], QBox]:
+    """A seeded q-box and its per-side combination ranks, each drawn by
+    ``rng.randrange(C(2^n, q))``. The box's points are held to the default
+    point budget first, so a refused shape never computes C(2^n, q)."""
+    check_point_count(q, w)
+    radix = comb(1 << n, q)
+    ranks = tuple(rng.randrange(radix) for _ in range(w))
+    return ranks, QBox.from_ranks(ranks, n, q)
+
+
 def rank_to_digits(rank: int, radix: int, w: int) -> tuple[int, ...]:
     """Mixed-radix digits of a global box rank, most significant first:
     one combination rank per side. The leading digit keeps any overflow,
@@ -204,17 +249,10 @@ def digits_to_rank(digits, radix: int) -> int:
     return rank
 
 
-def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_BOX_BUDGET):
     """Yield every q-box exactly once, in lexicographic order of sides."""
     _check_box_params(n, q, w)
-    total = box_count(n, q, w)
-    if total > budget:
-        raise BudgetError(
-            f"enumerating C(2^{n},{q})^{w} = {total} boxes exceeds the "
-            f"budget of {budget}",
-            refused=total,
-        )
-    yield from enumerate_qboxes_range(n, q, w, 0, total)
+    yield from enumerate_qboxes_range(n, q, w, 0, check_box_count(n, q, w, budget))
 
 
 def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
@@ -253,12 +291,7 @@ def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_B
             f"box shape (n={box.n}, w={box.w}) does not match spec "
             f"(n={spec.n}, w={spec.w})"
         )
-    size = box.q ** box.w
-    if size > budget:
-        raise BudgetError(
-            f"box holds {size} points, over the budget of {budget}",
-            refused=size,
-        )
+    check_point_count(box.q, box.w, budget)
     inputs = box.packed_points()
     outputs = [spec.apply_packed(p) for p in inputs]
     try:

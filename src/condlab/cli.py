@@ -13,11 +13,10 @@ import json
 import math
 import random
 import sys
-from math import comb
 
 from . import conductance as cond_mod
 from . import condenser as condenser_mod
-from .boxes import QBox, image_of_box
+from .boxes import QBox, image_of_box, random_box
 from .errors import BudgetError, CondlabError, TableFormatError
 from .gf2n import selfcheck
 from .perms import (
@@ -71,7 +70,7 @@ def _collect_config(args, *, need_eps=()) -> None:
     threads = getattr(args, "threads", 1)
     if threads < 1:
         issues.append(f"--threads must be at least 1, got {threads}")
-    for name in ("trials", "count", "checkpoint_every"):
+    for name in ("trials", "count", "checkpoint_every", "budget", "budget_bits"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             issues.append(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
@@ -158,7 +157,10 @@ def _write_json(path, payload: dict):
 
 
 def _parse_point(text: str, n: int, w: int) -> WordVector:
-    words = tuple(int(t, 16) for t in text.split(","))
+    try:
+        words = tuple(int(t, 16) for t in text.split(","))
+    except ValueError:
+        words = ()
     if len(words) != w:
         raise _UsageError(f"point needs {w} comma-separated hex words")
     return WordVector(words, n)
@@ -178,7 +180,7 @@ def write_box_file(box: QBox, path) -> None:
 
 
 def load_box_file(path) -> QBox:
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split()
         if len(parts) != 5 or parts[:2] != ["condlab-box", "v1"]:
@@ -303,14 +305,8 @@ def cmd_decompose(args) -> int:
                 )
     else:
         rng = random.Random(args.box_seed)
-        radix = comb(1 << spec.n, args.q)
         count = args.trials if args.trials is not None else 1
-        boxes = [
-            QBox.from_ranks(
-                [rng.randrange(radix) for _ in range(spec.w)], spec.n, args.q
-            )
-            for _ in range(count)
-        ]
+        boxes = [random_box(rng, spec.n, args.q, spec.w)[1] for _ in range(count)]
 
     runs = []
     for box in boxes:
@@ -374,7 +370,10 @@ def _fmt(value) -> str:
 
 def cmd_experiment(args) -> int:
     _collect_config(args)
-    w_list = [int(t) for t in args.w_list.split(",") if t]
+    try:
+        w_list = [int(t) for t in args.w_list.split(",") if t]
+    except ValueError:
+        w_list = []
     if not w_list or any(w < 1 for w in w_list):
         raise _UsageError(f"bad --w-list {args.w_list!r}")
     eps1 = args.eps1 if args.eps1 is not None else 0.5

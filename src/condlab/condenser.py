@@ -30,9 +30,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
-from .boxes import PointSet, QBox, _check_box_params, image_of_box, slices
+from .boxes import PointSet, _check_box_params, image_of_box, random_box, slices
 from .conductance import best_V_for_U
 from .errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
 from .perms import PermutationSpec
@@ -593,10 +592,9 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
     """Decompose the images of ``trials`` seeded random q-boxes and report
     residual weights and per-part coordinate min-entropies.
 
-    Boxes are sampled by drawing one combination rank per side from a
-    single seeded generator (unranked to the actual subsets), so profiles
-    are reproducible. Trials run one after another; ``threads`` is
-    accepted for interface symmetry and ignored.
+    Boxes are drawn by :func:`~condlab.boxes.random_box` from a single
+    seeded generator, so profiles are reproducible. Trials run one after
+    another; ``threads`` is accepted for interface symmetry and ignored.
     """
     del threads
     if trials < 0:
@@ -606,16 +604,12 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
         raise RangeError(f"box sampling needs an integer side size, got 2^{alpha_n}"
                          + (", out of range" if math.isinf(q) else ""))
     _check_box_params(spec.n, q, spec.w)
-    radix = comb(1 << spec.n, q)
     rng = random.Random(seed)
-    all_ranks = [
-        tuple(rng.randrange(radix) for _ in range(spec.w)) for _ in range(trials)
-    ]
+    draws = [random_box(rng, spec.n, q, spec.w) for _ in range(trials)]
 
     target_shift = (1 + eps1) * alpha_n
 
-    def run_trial(index, ranks):
-        box = QBox.from_ranks(ranks, spec.n, q)
+    def run_trial(index, ranks, box):
         img = image_of_box(spec, box)
         dec = decompose(img, alpha_n, eps1, eps2)
         gamma = (len(dec.r0) + len(dec.r1)) / (q ** spec.w)
@@ -628,7 +622,7 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
             entropies[i] = (len(part), fattest, bits, met)
         return TrialProfile(index, ranks, gamma, entropies)
 
-    results = [run_trial(index, ranks) for index, ranks in enumerate(all_ranks)]
+    results = [run_trial(index, *draw) for index, draw in enumerate(draws)]
 
     gammas = [t.gamma for t in results]
     met_flags = [

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .boxes import (
+    DEFAULT_BOX_BUDGET,
     QBox,
     PointSet,
-    box_count,
-    combination_unrank,
+    check_box_count,
     digits_to_rank,
     enumerate_qboxes_range,
     fattest_side,
@@ -45,6 +45,7 @@ from .boxes import (
     image_of_box,
     intersection_count,
     pad_side,
+    random_box,
     rank_to_digits,
     slices,
     _check_box_params,
@@ -52,10 +53,7 @@ from .boxes import (
 from .errors import BudgetError, CondlabError, RangeError, ShapeError
 from .perms import PermutationSpec
 
-DEFAULT_OUTER_BUDGET = 10 ** 6
 DEFAULT_INNER_NODE_BUDGET = 10 ** 7
-# Python's default limit on the decimal digits of an int it prints
-_PRINTABLE_DIGITS = 4300
 
 
 def degree_from_count(q: int, count: int, w: int) -> float:
@@ -196,37 +194,6 @@ def best_V_for_U(points: PointSet, q: int,
 # --- exact outer search ----------------------------------------------------
 
 
-def _budget_refusal_message(n: int, q: int, w: int, total: int, budget: int) -> str:
-    msg = (
-        f"exact search needs C(2^{n},{q})^{w} = {total} outer boxes, over "
-        f"the budget of {budget}"
-    )
-    # name the smallest single parameter whose reduction fits the budget
-    for name, nn, qq, ww in (("q", n, q - 1, w), ("w", n, q, w - 1), ("n", n - 1, min(q, 1 << (n - 1)), w)):
-        if qq >= 1 and ww >= 1 and nn >= 1 and box_count(nn, qq, ww) <= budget:
-            return msg + f"; reducing {name} would fit"
-    return msg
-
-
-def _outer_box_count(n: int, q: int, w: int, budget: int) -> int:
-    """C(2^n, q)^w, or a BudgetError when it is over ``budget``. A count
-    past the digits an int prints is named by its size and not given as
-    ``refused``; when the bound C(2^n, q) >= (2^n/q)^q already puts it
-    there, it is not computed at all."""
-    digits = q * w * math.log10((1 << n) / q)
-    if digits <= _PRINTABLE_DIGITS or digits <= math.log10(max(budget, 1)):
-        total = box_count(n, q, w)
-        if total <= budget:
-            return total
-        digits = math.log10(total)
-        if digits < _PRINTABLE_DIGITS:
-            raise BudgetError(_budget_refusal_message(n, q, w, total, budget), refused=total)
-    raise BudgetError(
-        f"exact search needs C(2^{n},{q})^{w} >= 10^{math.floor(digits)} outer boxes, "
-        f"over the budget of {budget}"
-    )
-
-
 def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sides,
             examined: int, t0: float) -> ConductanceReport:
     """The report of either search: alpha, condd and the wall time since
@@ -248,7 +215,7 @@ def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sid
 
 
 def exact_conductance(spec: PermutationSpec, q: int, *,
-                      outer_budget: int = DEFAULT_OUTER_BUDGET,
+                      outer_budget: int = DEFAULT_BOX_BUDGET,
                       inner_node_budget: int = DEFAULT_INNER_NODE_BUDGET,
                       threads: int = 1,
                       checkpoint_path: str | None = None,
@@ -269,7 +236,7 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     _check_box_params(spec.n, q, spec.w)
     if checkpoint_every < 0:
         raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
-    total = _outer_box_count(spec.n, q, spec.w, outer_budget)
+    total = check_box_count(spec.n, q, spec.w, outer_budget, "exact search", "outer boxes")
 
     start = 0
     best, best_u, best_v = -1, None, None
@@ -329,7 +296,6 @@ def heuristic_lower_bound(spec: PermutationSpec, q: int, budget: int = 200,
         raise RangeError(f"budget must be at least 1, got {budget}")
     n, w = spec.n, spec.w
     size = 1 << n
-    radix = comb(size, q)
     rng = random.Random(seed)
     patience = max(16, 2 * w * q)
 
@@ -347,11 +313,9 @@ def heuristic_lower_bound(spec: PermutationSpec, q: int, budget: int = 200,
         return cnt
 
     while evals < budget:
-        sides = tuple(
-            combination_unrank(rng.randrange(radix), size, q) for _ in range(w)
-        )
+        sides = random_box(rng, n, q, w)[1].sides
         cur = evaluate(sides)
-        if radix == 1:
+        if q == size:
             break  # the full cube is the only box; nothing to climb
         stale = 0
         while evals < budget and stale < patience:
@@ -546,7 +510,7 @@ def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,
 
 
 def read_checkpoint(path) -> dict:
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         if header != "condlab-ckpt v1":
             raise CondlabError(f"bad checkpoint header {header!r}")

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a refusal names a count."""
+
+import math
+
+# Python's default limit on the decimal digits of an int it prints
+PRINTABLE_DIGITS = 4300
+_PRINTABLE = 10 ** PRINTABLE_DIGITS
+
+
+def name_count(count: int | None, log10: float = 0.0) -> str:
+    """A count as a refusal names it: ``= N`` where Python prints N, else
+    ``>= 10^k``. ``log10`` bounds log10 of the count from below when
+    ``count`` is None because it was not computed."""
+    if count is not None:
+        if count < _PRINTABLE:
+            return f"= {count}"
+        log10 = math.log10(count)
+    return f">= 10^{math.floor(log10)}"
 
 
 class CondlabError(Exception):
@@ -20,12 +37,13 @@ class ShapeError(CondlabError):
 class BudgetError(CondlabError):
     """A search or enumeration was refused because it exceeds its budget.
 
-    ``refused`` carries the exact count that was refused, when known.
+    ``refused`` carries the exact count that was refused, when it is known
+    and printable (:func:`name_count` names the others by their size).
     """
 
     def __init__(self, message: str, refused: int | None = None):
         super().__init__(message)
-        self.refused = refused
+        self.refused = refused if refused is not None and refused < _PRINTABLE else None
 
 
 class NotAPermutationError(CondlabError):

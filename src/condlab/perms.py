@@ -48,6 +48,15 @@ from .gf2n import ReductionPolynomial, default_poly, is_prime, mul_raw
 
 EXHAUSTIVE_BUDGET_BITS = 24
 
+
+def _check_domain_bits(bits: int, task: str, tail: str = "budget",
+                       budget_bits: int = EXHAUSTIVE_BUDGET_BITS) -> None:
+    """Refuse a whole-domain pass over more than ``budget_bits`` input bits;
+    ``task`` and ``tail`` frame the refusal's message."""
+    if bits > budget_bits:
+        raise BudgetError(f"{task}{bits}-bit domain exceeds the {budget_bits}-bit {tail}",
+                          refused=1 << bits)
+
 KINDS = ("identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random", "table")
 # constructions defined only at w = 3
 TRIPLE_KINDS = ("pi1", "pi2", "pi3", "bothmix")
@@ -324,12 +333,7 @@ def random_table(seed: int, n: int, w: int) -> PermutationSpec:
     """A uniformly random permutation table from a seeded Fisher-Yates
     shuffle (Mersenne Twister via ``random.Random``); same seed, same table."""
     bits = n * w
-    if bits > EXHAUSTIVE_BUDGET_BITS:
-        raise BudgetError(
-            f"random table over {bits}-bit domain exceeds the "
-            f"{EXHAUSTIVE_BUDGET_BITS}-bit budget",
-            refused=1 << bits,
-        )
+    _check_domain_bits(bits, "random table over ")
     table = list(range(1 << bits))
     random.Random(seed).shuffle(table)
     return PermutationSpec("random", n, w, seed=seed, table=tuple(table))
@@ -354,12 +358,8 @@ def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET
     carries that input and its earlier preimage as the witness.
     """
     bits = spec.domain_bits
-    if bits > budget_bits:
-        raise BudgetError(
-            f"{bits}-bit domain exceeds the {budget_bits}-bit exhaustive "
-            f"budget; spot-check with sampled eval/invert round trips instead",
-            refused=1 << bits,
-        )
+    _check_domain_bits(bits, "", "exhaustive budget; spot-check with sampled "
+                       "eval/invert round trips instead", budget_bits)
     collision = _first_collision(spec)
     if collision is None:
         return BijectivityReport(True, 1 << bits, spec.n, spec.w)
@@ -444,12 +444,7 @@ def _hex_digits(bits: int) -> int:
 
 def write_table_file(spec: PermutationSpec, path) -> None:
     bits = spec.domain_bits
-    if bits > EXHAUSTIVE_BUDGET_BITS:
-        raise BudgetError(
-            f"exporting a {bits}-bit domain exceeds the "
-            f"{EXHAUSTIVE_BUDGET_BITS}-bit budget",
-            refused=1 << bits,
-        )
+    _check_domain_bits(bits, "exporting a ")
     import numpy as np
 
     digits = _hex_digits(bits)
@@ -468,7 +463,8 @@ def write_table_file(spec: PermutationSpec, path) -> None:
 
 
 def load_table_file(path) -> PermutationSpec:
-    with open(path) as fh:
+    # an undecodable byte reads as U+FFFD, which no header or hex field accepts
+    with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split()
         if len(parts) != 4 or parts[0] != "condlab-table" or parts[1] != "v1":
