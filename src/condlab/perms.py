@@ -25,19 +25,27 @@ built with an explicit one.
 Each algebraic map is written once, in ``_forward``, for one point and
 for a block alike. Single points go through ``apply_packed``, in pure
 Python. The passes over the whole domain (``verify_bijective``,
-``write_table_file`` and the inverse of a table) evaluate numpy blocks
-of ascending inputs, and import numpy only when they run, so the
-per-point layers above (box images, the searches, the condenser) never
-load it.
+``write_table_file``, the inverse of a table and the bulk load of a
+table file) evaluate numpy blocks of ascending inputs, and import numpy
+only when they run, so the per-point layers above (box images, the
+searches, the condenser) never load it.
+
+A ``random`` or ``table`` spec holds its 2^(nw) outputs, and its lazy
+inverse, as one ``array("Q")``: a lookup returns a Python int, and the
+whole-domain passes read the same buffer as numpy without a copy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import operator
 import random
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import (
+    PRINTABLE_DIGITS,
     BudgetError,
     NotAPermutationError,
     ShapeError,
@@ -54,8 +62,11 @@ def _check_domain_bits(bits: int, task: str, tail: str = "budget",
     """Refuse a whole-domain pass over more than ``budget_bits`` input bits;
     ``task`` and ``tail`` frame the refusal's message."""
     if bits > budget_bits:
+        # past 4 * PRINTABLE_DIGITS bits the count is too long to print
+        # (BudgetError drops it) and can be too large to build at all
+        refused = 1 << bits if bits <= 4 * PRINTABLE_DIGITS else None
         raise BudgetError(f"{task}{bits}-bit domain exceeds the {budget_bits}-bit {tail}",
-                          refused=1 << bits)
+                          refused=refused)
 
 KINDS = ("identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random", "table")
 # constructions defined only at w = 3
@@ -118,8 +129,8 @@ class PermutationSpec:
     w: int
     poly: ReductionPolynomial | None = None
     seed: int | None = None
-    table: tuple[int, ...] | None = None
-    _inverse: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    table: array | None = None
+    _inverse: array | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -148,27 +159,9 @@ class PermutationSpec:
                 raise NotAPermutationError(
                     f"table has {len(self.table)} entries, expected {size}"
                 )
-            if self.domain_bits <= EXHAUSTIVE_BUDGET_BITS:
-                self._check_table_bijective()
+            self.table = _packed_table(self.table, self.domain_bits)
         elif self.table is not None:
             raise ValueError(f"{self.kind} spec does not take a table")
-
-    def _check_table_bijective(self):
-        size = len(self.table)
-        if min(self.table) >= 0 and max(self.table) < size and len(set(self.table)) == size:
-            return
-        # name the first fault in input order
-        first_seen = {}
-        for x, y in enumerate(self.table):
-            if not 0 <= y < size:
-                raise NotAPermutationError(f"table value {y:#x} out of range")
-            if y in first_seen:
-                raise NotAPermutationError(
-                    f"inputs {first_seen[y]:#x} and {x:#x} map to the same "
-                    f"output {y:#x}",
-                    witness=(first_seen[y], x),
-                )
-            first_seen[y] = x
 
     @property
     def domain_bits(self) -> int:
@@ -222,7 +215,9 @@ class PermutationSpec:
 
     @classmethod
     def explicit(cls, table, n: int, w: int) -> "PermutationSpec":
-        return cls("table", n, w, table=tuple(table))
+        """A table spec from the 2^(nw) outputs in input order (a list,
+        range, ``array`` or any other sized sequence of ints), copied."""
+        return cls("table", n, w, table=table)
 
     # --- evaluation ------------------------------------------------------
 
@@ -251,22 +246,24 @@ class PermutationSpec:
             return self._bothmix_invert(y)
         return self.apply_packed(y)
 
-    def _table_inverse(self) -> tuple[int, ...]:
-        """The inverse table, scattered in one numpy pass; a table with a
-        repeated output raises with the first collision as witness."""
+    def _table_inverse(self) -> array:
+        """The inverse table, scattered in one numpy pass straight into its
+        array; a table with a repeated output raises with the first
+        collision as witness."""
         import numpy as np
 
         size = len(self.table)
-        inv = np.full(size, -1, dtype=np.int64)
-        inv[np.array(self.table, dtype=np.int64)] = np.arange(size)
-        if (inv < 0).any():  # size entries left a slot empty: a collision
+        inverse = array("Q", [size]) * size  # size marks a slot no input reached
+        slots = np.frombuffer(inverse, dtype=np.uint64)
+        slots[np.asarray(self.table, dtype=np.uint64)] = np.arange(size, dtype=np.uint64)
+        if (slots == size).any():  # size entries left a slot empty: a collision
             x0, x = _first_collision(self)
             raise NotAPermutationError(
                 f"table is not bijective: output {self.table[x]:#x} has "
                 f"two preimages",
                 witness=(x0, x),
             )
-        return tuple(inv.tolist())
+        return inverse
 
     def _bothmix_invert(self, y: int) -> int:
         from .gf2n import FieldElement, gf_inv
@@ -329,14 +326,59 @@ def _forward(spec: PermutationSpec, x, mul, p):
     return x ^ ((mul(a, b, p) ^ b ^ c) << n) ^ mul(a, c, p) ^ b ^ c
 
 
+def _packed_table(entries, bits: int) -> array:
+    """``entries`` copied into one ``array("Q")``. Up to the exhaustive
+    budget they must be a permutation of ``range(2^bits)``: a scatter
+    into a bytearray checks that (an entry past the end raises
+    IndexError, and a repeat leaves some slot at 0). Only a table that
+    fails, or holds a value no ``array("Q")`` can, is walked for its
+    first fault in input order."""
+    size = 1 << bits
+    try:
+        table = array("Q", entries)
+    except (TypeError, OverflowError):
+        _raise_first_fault(entries, size)
+    if bits <= EXHAUSTIVE_BUDGET_BITS:
+        seen = bytearray(size)
+        try:
+            for y in table:
+                seen[y] = 1
+        except IndexError:
+            _raise_first_fault(table, size)
+        if 0 in seen:
+            _raise_first_fault(table, size)
+    return table
+
+
+def _raise_first_fault(entries, size: int):
+    """Raise for the first entry, in input order, that is not an int,
+    lies outside ``range(size)`` or repeats an earlier entry."""
+    first_seen = {}
+    for x, y in enumerate(entries):
+        try:
+            y = operator.index(y)
+        except TypeError:
+            raise NotAPermutationError(f"table value {y!r} is not an int") from None
+        if not 0 <= y < size:
+            raise NotAPermutationError(f"table value {y:#x} out of range")
+        if y in first_seen:
+            raise NotAPermutationError(
+                f"inputs {first_seen[y]:#x} and {x:#x} map to the same "
+                f"output {y:#x}",
+                witness=(first_seen[y], x),
+            )
+        first_seen[y] = x
+    raise AssertionError("table check failed but no fault found")
+
+
 def random_table(seed: int, n: int, w: int) -> PermutationSpec:
     """A uniformly random permutation table from a seeded Fisher-Yates
     shuffle (Mersenne Twister via ``random.Random``); same seed, same table."""
     bits = n * w
     _check_domain_bits(bits, "random table over ")
-    table = list(range(1 << bits))
+    table = array("Q", range(1 << bits))
     random.Random(seed).shuffle(table)
-    return PermutationSpec("random", n, w, seed=seed, table=tuple(table))
+    return PermutationSpec("random", n, w, seed=seed, table=table)
 
 
 @dataclass(frozen=True)
@@ -383,7 +425,7 @@ def _block_evaluator(spec: PermutationSpec):
     if spec.kind == "identity":
         return lambda start, stop: np.arange(start, stop, dtype=np.uint64)
     if spec.kind in ("random", "table"):
-        table = np.array(spec.table, dtype=np.uint64)
+        table = np.asarray(spec.table, dtype=np.uint64)  # a view of the array
         return lambda start, stop: table[start:stop]
     p = spec.poly.poly
     words = range(1 << n)
@@ -438,6 +480,9 @@ def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
 # ceil(w*n/4) digits.
 
 
+_HEX = b"0123456789abcdef"  # the digits a table file is written in
+
+
 def _hex_digits(bits: int) -> int:
     return -(-bits // 4)
 
@@ -450,7 +495,7 @@ def write_table_file(spec: PermutationSpec, path) -> None:
     digits = _hex_digits(bits)
     size = 1 << bits
     outputs = _block_evaluator(spec)
-    hex_chars = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    hex_chars = np.frombuffer(_HEX, dtype=np.uint8)
     shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)  # high nibble first
     with open(path, "wb") as fh:
         fh.write(f"condlab-table v1 n={spec.n} w={spec.w}\n".encode())
@@ -463,6 +508,11 @@ def write_table_file(spec: PermutationSpec, path) -> None:
 
 
 def load_table_file(path) -> PermutationSpec:
+    """Read a table file. The header's n*w is held to the exhaustive
+    budget before the body is read. A body in exactly the form
+    :func:`write_table_file` emits is decoded in one numpy pass; any
+    other body is parsed a line at a time, which also names the line of
+    a fault."""
     # an undecodable byte reads as U+FFFD, which no header or hex field accepts
     with open(path, errors="replace") as fh:
         header = fh.readline().rstrip("\n")
@@ -473,27 +523,65 @@ def load_table_file(path) -> PermutationSpec:
             n = int(parts[2].removeprefix("n="))
             w = int(parts[3].removeprefix("w="))
         except ValueError:
+            n = w = 0
+        if n < 1 or w < 1:
             raise TableFormatError(f"bad header fields in {header!r}", line=1)
-        size = 1 << (n * w)
-        digits = _hex_digits(n * w)
-        table = []
-        for lineno, raw in enumerate(fh, start=2):
-            text = raw.strip()
-            if not text:
-                continue
-            if len(text) != digits:
-                raise TableFormatError(
-                    f"expected {digits} hex digits, got {text!r}", line=lineno
-                )
-            try:
-                y = int(text, 16)
-            except ValueError:
-                raise TableFormatError(f"not a hex value: {text!r}", line=lineno)
-            if y >= size:
-                raise TableFormatError(f"value {text} out of range", line=lineno)
-            table.append(y)
-        if len(table) != size:
-            raise TableFormatError(
-                f"expected {size} entries, found {len(table)}"
-            )
+        _check_domain_bits(n * w, "a table file over a ")
+        body = fh.read()
+    table = _decode_canonical_body(body, n * w)
+    if table is None:
+        table = _parse_body_lines(body, n * w)
     return PermutationSpec.explicit(table, n, w)
+
+
+def _decode_canonical_body(body: str, bits: int) -> array | None:
+    """The entries of a body of 2^bits lines of exactly ceil(bits/4)
+    lowercase hex digits and a newline, all in range, decoded one digit
+    column at a time; None for any other body."""
+    digits, size = _hex_digits(bits), 1 << bits
+    if len(body) != size * (digits + 1) or not body.isascii():
+        return None
+    import numpy as np
+
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(size, digits + 1)
+    if not (rows[:, digits] == ord("\n")).all():
+        return None
+    nibble_of = np.full(256, 16, dtype=np.uint8)
+    nibble_of[np.frombuffer(_HEX, dtype=np.uint8)] = np.arange(16)
+    table = array("Q", [0]) * size
+    values = np.frombuffer(table, dtype=np.uint64)
+    for column in range(digits):  # high nibble first
+        nibbles = nibble_of[rows[:, column]]
+        if nibbles.max() > 15:
+            return None
+        values <<= 4
+        values |= nibbles
+    return table if values.max() < size else None
+
+
+def _parse_body_lines(body: str, bits: int) -> list[int]:
+    """The entries of a body one line at a time: blank lines are skipped,
+    and each other line holds one hex value of ceil(bits/4) digits,
+    surrounding whitespace allowed. A fault names its line."""
+    digits, size = _hex_digits(bits), 1 << bits
+    table = []
+    for lineno, raw in enumerate(io.StringIO(body), start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        if len(text) != digits:
+            raise TableFormatError(
+                f"expected {digits} hex digits, got {text!r}", line=lineno
+            )
+        try:
+            y = int(text, 16)
+        except ValueError:
+            raise TableFormatError(f"not a hex value: {text!r}", line=lineno)
+        if y >= size:
+            raise TableFormatError(f"value {text} out of range", line=lineno)
+        table.append(y)
+    if len(table) != size:
+        raise TableFormatError(
+            f"expected {size} entries, found {len(table)}"
+        )
+    return table

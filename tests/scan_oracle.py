@@ -38,3 +38,30 @@ def table_inverse(table):
     for x, y in enumerate(table):
         inv[y] = x
     return tuple(inv)
+
+
+def table_file_entries(path):
+    """``(n, w, entries)`` of a table file read one line at a time, the
+    way the loader read every file before its bulk decode. A fault raises
+    ValueError with the loader's message, ``line N: ...`` where it names
+    a line."""
+    with open(path, errors="replace") as fh:
+        n, w = (int(field.split("=")[1]) for field in fh.readline().split()[2:])
+        digits, size = -(-n * w // 4), 1 << n * w
+        entries = []
+        for lineno, raw in enumerate(fh, start=2):
+            text = raw.strip()
+            if not text:
+                continue
+            if len(text) != digits:
+                raise ValueError(f"line {lineno}: expected {digits} hex digits, got {text!r}")
+            try:
+                y = int(text, 16)
+            except ValueError:
+                raise ValueError(f"line {lineno}: not a hex value: {text!r}") from None
+            if y >= size:
+                raise ValueError(f"line {lineno}: value {text} out of range")
+            entries.append(y)
+    if len(entries) != size:
+        raise ValueError(f"expected {size} entries, found {len(entries)}")
+    return n, w, entries

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,12 @@ from condlab.perms import (
     write_table_file,
 )
 
-from scan_oracle import first_collision_scan, table_file_bytes, table_inverse
+from scan_oracle import (
+    first_collision_scan,
+    table_file_bytes,
+    table_file_entries,
+    table_inverse,
+)
 
 NAMED = ("identity", "pi1", "pi2", "pi3", "piw")
 ROOT = Path(__file__).resolve().parents[1]
@@ -364,7 +370,7 @@ def test_table_inverse_equals_per_point_inverse():
                  PermutationSpec.explicit([pi2.apply_packed(x) for x in range(64)], 2, 3)):
         want = table_inverse(spec.table)
         assert tuple(spec.invert_packed(y) for y in range(len(spec.table))) == want
-        assert spec._inverse == want and type(spec._inverse) is tuple
+        assert list(spec._inverse) == list(want) and type(spec._inverse) is array
 
 
 def test_table_inverse_of_a_non_bijection_names_the_first_collision():
@@ -376,6 +382,123 @@ def test_table_inverse_of_a_non_bijection_names_the_first_collision():
         spec.invert_packed(0)
     assert exc.value.witness == first_collision_scan(spec)[2] == (10, 40)
     assert str(exc.value) == "table is not bijective: output 0x28 has two preimages"
+
+
+# --- one packed array per table, and the bulk load of table files ---------------
+
+
+def test_every_table_is_one_packed_array(tmp_path):
+    path = tmp_path / "t.tbl"
+    write_table_file(PermutationSpec.pi1(2), path)
+    specs = [random_table(4, 2, 3), PermutationSpec.explicit([1, 0, 3, 2], 1, 2),
+             PermutationSpec.explicit(range(8), 1, 3),
+             PermutationSpec.explicit(array("Q", [3, 2, 1, 0]), 2, 1),
+             PermutationSpec("table", 1, 1, table=(1, 0)), load_table_file(path)]
+    for spec in specs:
+        assert type(spec.table) is array and spec.table.typecode == "Q"
+        spec.invert_packed(0)
+        assert type(spec._inverse) is array and spec._inverse.typecode == "Q"
+        assert type(spec.apply_packed(1)) is int and type(spec.invert_packed(1)) is int
+
+
+def test_explicit_copies_its_array():
+    entries = array("Q", [3, 2, 1, 0])
+    spec = PermutationSpec.explicit(entries, 2, 1)
+    entries[0] = 2
+    assert list(spec.table) == [3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("table, message", [
+    ([0, 1, 2 ** 64, 3], "table value 0x10000000000000000 out of range"),
+    ([0, -1, 2, 3], "table value -0x1 out of range"),
+    ([-1, 2, 2, 0], "table value -0x1 out of range"),
+    ([1, 1, 2 ** 64, 0], "inputs 0x0 and 0x1 map to the same output 0x1"),
+    ([0, 1, 2.0, 3], "table value 2.0 is not an int"),
+])
+def test_entries_no_packed_array_holds_name_the_first_fault(table, message):
+    with pytest.raises(NotAPermutationError) as exc:
+        PermutationSpec.explicit(table, 1, 2)
+    assert str(exc.value) == message
+
+
+def _bulk_shapes():
+    specs = [PermutationSpec.identity(n, w) for n in range(1, 10) for w in range(1, 10 // n)]
+    specs += [PermutationSpec(kind, n, 3) for kind in TRIPLE[1:] for n in (1, 2, 3)]
+    specs += [PermutationSpec.piw(1, w) for w in range(3, 10)]
+    specs += [PermutationSpec.piw(2, 3), PermutationSpec.piw(2, 4), PermutationSpec.piw(3, 3)]
+    specs += [random_table(seed, n, w) for seed, (n, w) in enumerate(
+        ((1, 1), (1, 5), (2, 2), (3, 2), (4, 2), (9, 1), (1, 9)))]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _bulk_shapes(), ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_written_files_decode_in_bulk_equal_to_their_spec(spec, tmp_path):
+    path = tmp_path / "t.tbl"
+    write_table_file(spec, path)
+    body = path.read_text().partition("\n")[2]
+    bulk = perms._decode_canonical_body(body, spec.domain_bits)
+    want = [spec.apply_packed(x) for x in range(1 << spec.domain_bits)]
+    assert bulk is not None and list(bulk) == want
+    assert perms._parse_body_lines(body, spec.domain_bits) == want
+    if spec.kind == "bothmix":
+        with pytest.raises(NotAPermutationError) as exc:
+            load_table_file(path)
+        assert exc.value.witness == verify_bijective(spec).collision
+    else:
+        loaded = load_table_file(path)
+        assert list(loaded.table) == want == table_file_entries(path)[2]
+        assert (loaded.n, loaded.w) == (spec.n, spec.w)
+
+
+CANONICAL = "condlab-table v1 n=2 w=3\n" + "".join(
+    f"{PermutationSpec.pi3(2).apply_packed(x):02x}\n" for x in range(64))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.upper().replace("CONDLAB-TABLE V1 N=2 W=3", "condlab-table v1 n=2 w=3"),
+    lambda t: t.replace("\n0", "\n\n0"),
+    lambda t: t + "\n\n",
+    lambda t: t.replace("\n", " \n\t"),
+    lambda t: t.replace("\n", "\r"),
+    lambda t: t.replace("n=2 w=3", " n=2  w=3 "),
+    lambda t: t[:-1],
+], ids=["crlf", "upper", "blank", "trailing-blank", "spaces", "cr", "header-spaces",
+        "no-final-newline"])
+def test_non_canonical_files_load_as_the_line_walk_reads_them(edit, tmp_path):
+    path = tmp_path / "t.tbl"
+    path.write_bytes(edit(CANONICAL).encode())
+    loaded = load_table_file(path)
+    assert (loaded.n, loaded.w, list(loaded.table)) == table_file_entries(path)
+    assert list(loaded.table) == [PermutationSpec.pi3(2).apply_packed(x) for x in range(64)]
+
+
+@pytest.mark.parametrize("last, message", [
+    ("g", "line 9: not a hex value: 'g'"),
+    ("9", "line 9: value 9 out of range"),
+    ("G", "line 9: not a hex value: 'G'"),
+    ("\u00e9", "line 9: not a hex value: '\u00e9'"),
+])
+def test_a_fault_on_the_last_canonical_line_names_it(last, message, tmp_path):
+    path = tmp_path / "t.tbl"
+    text = "condlab-table v1 n=1 w=3\n" + "".join(f"{y}\n" for y in range(7)) + last + "\n"
+    path.write_text(text)
+    with pytest.raises(ValueError) as want:
+        table_file_entries(path)
+    with pytest.raises(TableFormatError) as exc:
+        load_table_file(path)
+    assert str(exc.value) == str(want.value) == message and exc.value.line == 9
+
+
+@pytest.mark.parametrize("bits, body", [
+    (6, "".join(f"{y:02x}\n" for y in range(63)) + "ff\n"),  # canonical length, out of range
+    (6, "".join(f"{y:02x}\n" for y in range(64))[:-3] + "\n" + "0\n"),  # short last line
+    (4, "".join(f"{y:x}\n" for y in range(15)) + "\n\n"),  # blank line for a value
+])
+def test_the_bulk_decode_passes_faults_to_the_line_walk(bits, body):
+    assert perms._decode_canonical_body(body, bits) is None
+    with pytest.raises(TableFormatError):
+        perms._parse_body_lines(body, bits)
 
 
 REACH_SCRIPT = """

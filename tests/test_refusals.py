@@ -129,3 +129,21 @@ def test_malformed_cli_input_is_one_error_line(tmp_path, capsys):
     # a zero budget is still a budget: the search is refused, not misused
     assert main(["cond", *pi1, "--q", "2", "--budget", "0"]) == 2
     assert capsys.readouterr().err.startswith("budget refused: ")
+
+
+@pytest.mark.parametrize("header, code, err", [
+    ("n=64 w=1000", 2, "budget refused: a table file over a 64000-bit domain exceeds "
+                       "the 24-bit budget\n"),
+    ("n=5 w=5", 2, "budget refused: a table file over a 25-bit domain exceeds the 24-bit "
+                   "budget (refused count: 33554432)\n"),
+    ("n=-1 w=3", 1, "parse error: line 1: bad header fields in "
+                    "'condlab-table v1 n=-1 w=3'\n"),
+    ("n=2 w=0", 1, "parse error: line 1: bad header fields in "
+                   "'condlab-table v1 n=2 w=0'\n"),
+])
+def test_table_file_headers_are_checked_before_the_body(header, code, err, tmp_path):
+    # the body is garbage: a check that read it first would name line 2
+    path = tmp_path / "h.tbl"
+    path.write_text(f"condlab-table v1 {header}\nnot hex\n")
+    proc = condlab("perm", "verify", "--spec", "table", "--table-file", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
