@@ -7,9 +7,11 @@ sets are sorted tuples of packed integers; membership is a binary search.
 
 Points stay packed everywhere outside ``perms``: :func:`slices` is the
 one place a word is read out of them, grouping points by the value of
-one coordinate. Sides that must reach size q are filled by
-:func:`pad_side`, the lexicographically smallest completion, and the
-densest side of one coordinate is :func:`fattest_side`.
+one coordinate, and :func:`xor_sides` the one place side values are
+put into them, which builds both a box's points and its image. Sides
+that must reach size q are filled by :func:`pad_side`, the
+lexicographically smallest completion, and the densest side of one
+coordinate is :func:`fattest_side`.
 Box and point counts meet their budgets here (:func:`check_box_count`,
 :func:`check_point_count`), and :func:`random_box` is the one seeded draw.
 """
@@ -24,7 +26,7 @@ from math import comb
 
 from .errors import (PRINTABLE_DIGITS, BudgetError, NotAPermutationError, RangeError,
                      ShapeError, name_count)
-from .perms import PermutationSpec, pack_words
+from .perms import PermutationSpec
 
 DEFAULT_BOX_BUDGET = 10 ** 6
 DEFAULT_POINT_BUDGET = 1 << 22
@@ -60,8 +62,7 @@ class QBox:
 
     def packed_points(self) -> list[int]:
         """All q^w member points, packed, in ascending order."""
-        n = self.n
-        return [pack_words(t, n) for t in itertools.product(*self.sides)]
+        return xor_sides([0], self, range(self.w))
 
     @classmethod
     def from_ranks(cls, ranks, n: int, q: int) -> "QBox":
@@ -106,6 +107,18 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({len(self.points)} points, n={self.n}, w={self.w})"
+
+
+def xor_sides(points, box: QBox, words) -> list[int]:
+    """Each of ``points`` XOR-ed with every combination of values of the
+    box's sides ``words`` (ascending), each value in its word's place; in
+    product order, ``points`` the most significant. From ``[0]`` these are
+    the packed combinations of those sides, with every other word 0."""
+    n, w = box.n, box.w
+    for i in words:
+        shift = n * (w - 1 - i)
+        points = [p ^ (v << shift) for p in points for v in box.sides[i]]
+    return points
 
 
 def slices(points, n: int, w: int, coord: int) -> dict[int, list[int]]:
@@ -188,13 +201,19 @@ def _check_box_params(n: int, q: int, w: int):
         raise ShapeError(f"q={q} exceeds the alphabet size 2^{n}")
 
 
+def _log10_count_bound(n: int, q: int, w: int) -> float:
+    """log10 of (2^n/q)^(qw), a lower bound on log10 C(2^n, q)^w that
+    costs nothing to compute."""
+    return q * w * math.log10((1 << n) / q)
+
+
 def check_box_count(n: int, q: int, w: int, budget: int, task: str = "enumeration",
                     unit: str = "boxes") -> int:
     """C(2^n, q)^w, or a BudgetError when it is over ``budget`` that names
     the one parameter whose reduction would fit. When the bound
     C(2^n, q) >= (2^n/q)^q already puts the count past the budget and the
     digits an int prints, the count is not computed."""
-    log10 = q * w * math.log10((1 << n) / q)
+    log10 = _log10_count_bound(n, q, w)
     total = None
     if log10 <= PRINTABLE_DIGITS or log10 <= math.log10(max(budget, 1)):
         total = box_count(n, q, w)
@@ -222,9 +241,16 @@ def check_point_count(q: int, w: int, budget: int = DEFAULT_POINT_BUDGET) -> Non
 def random_box(rng, n: int, q: int, w: int) -> tuple[tuple[int, ...], QBox]:
     """A seeded q-box and its per-side combination ranks, each drawn by
     ``rng.randrange(C(2^n, q))``. The box's points are held to the default
-    point budget first, so a refused shape never computes C(2^n, q)."""
+    point budget first, and then C(2^n, q) to the digits Python prints:
+    by its lower bound (2^n/q)^q before it is computed, so a refused shape
+    never computes q^w points, nor a C(2^n, q) whose bound is past them."""
     check_point_count(q, w)
-    radix = comb(1 << n, q)
+    log10 = _log10_count_bound(n, q, 1)
+    radix = comb(1 << n, q) if log10 <= PRINTABLE_DIGITS else None
+    if radix is None or radix >= 10 ** PRINTABLE_DIGITS:
+        raise BudgetError(f"a seeded draw needs C(2^{n},{q}) {name_count(radix, log10)} "
+                          f"ranks per side, past the {PRINTABLE_DIGITS} digits a count "
+                          "may print", refused=radix)
     ranks = tuple(rng.randrange(radix) for _ in range(w))
     return ranks, QBox.from_ranks(ranks, n, q)
 
@@ -284,21 +310,28 @@ def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
 def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
     """The exact image point set of a box under a permutation spec.
 
-    Raises NotAPermutationError, with the two box inputs as ``witness``,
-    when the spec maps two points of the box to one output."""
+    The spec is evaluated once per combination of the sides outside its
+    ``free_words``, with those words 0; since it carries the free words
+    additively, XOR-ing each result with every combination of the free
+    sides gives the rest (a kind with no free words is evaluated at every
+    point and XOR-ed with nothing). Raises NotAPermutationError, with the
+    two box inputs as ``witness``, when the spec maps two points of the
+    box to one output: the first repeat in ascending input order."""
     if box.n != spec.n or box.w != spec.w:
         raise ShapeError(
             f"box shape (n={box.n}, w={box.w}) does not match spec "
             f"(n={spec.n}, w={spec.w})"
         )
     check_point_count(box.q, box.w, budget)
-    inputs = box.packed_points()
-    outputs = [spec.apply_packed(p) for p in inputs]
+    free = spec.free_words
+    bases = xor_sides([0], box, [i for i in range(box.w) if i not in free])
+    outputs = xor_sides(list(map(spec.apply_packed, bases)), box, free)
     try:
         return PointSet(outputs, box.n, box.w)
     except ShapeError:
+        inputs = box.packed_points()
         owner = {}
-        for x, y in zip(inputs, outputs):
+        for x, y in zip(inputs, map(spec.apply_packed, inputs)):
             if y in owner:
                 raise NotAPermutationError(
                     f"box inputs {owner[y]:#x} and {x:#x} both map to {y:#x}; "

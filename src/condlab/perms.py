@@ -23,12 +23,21 @@ Arithmetic is GF(2^n) under the pinned default modulus unless a spec is
 built with an explicit one.
 
 Each algebraic map is written once, in ``_forward``, for one point and
-for a block alike. Single points go through ``apply_packed``, in pure
-Python. The passes over the whole domain (``verify_bijective``,
-``write_table_file``, the inverse of a table and the bulk load of a
-table file) evaluate numpy blocks of ascending inputs, and import numpy
-only when they run, so the per-point layers above (box images, the
-searches, the condenser) never load it.
+for a block alike. Beside it, ``_free_words`` declares the words each
+kind carries additively (``PermutationSpec.free_words``): words that no
+product reads, so ``f(x ^ m) == f(x) ^ m`` for every m held only in
+them. pi1 frees word 2, pi2 word 1, piw word 3k+2 of each block and its
+trailing words, identity every word, and the other kinds none. A box
+image uses this: the map is evaluated once per combination of the
+box's other sides, with the free words 0, and each result is XOR-ed
+with every combination of the free sides.
+
+Single points go through ``apply_packed``, in pure Python. The passes
+over the whole domain (``verify_bijective``, ``write_table_file``, the
+inverse of a table and the bulk load of a table file) evaluate numpy
+blocks of ascending inputs, and import numpy only when they run, so the
+per-point layers above (box images, the searches, the condenser) never
+load it.
 
 A ``random`` or ``table`` spec holds its 2^(nw) outputs, and its lazy
 inverse, as one ``array("Q")``: a lookup returns a Python int, and the
@@ -41,6 +50,7 @@ import hashlib
 import io
 import operator
 import random
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -173,8 +183,15 @@ class PermutationSpec:
         the current degree does not satisfy."""
         return self.kind in _PRIME_SENSITIVE and not is_prime(self.n)
 
+    @property
+    def free_words(self) -> tuple[int, ...]:
+        """The words the map carries additively, ascending: ``f(x ^ m) ==
+        f(x) ^ m`` for every m held only in them (:func:`_free_words`)."""
+        return _free_words(self)
+
     def digest(self) -> str:
-        """Stable content digest used by checkpoint files."""
+        """Stable content digest used by checkpoint files. A table is
+        hashed as each entry's ceil(nw/8) big-endian bytes, in one update."""
         h = hashlib.sha256()
         h.update(f"{self.kind}/{self.n}/{self.w}".encode())
         if self.poly is not None:
@@ -183,8 +200,7 @@ class PermutationSpec:
             h.update(f"/s{self.seed}".encode())
         if self.table is not None:
             h.update(b"/t")
-            for y in self.table:
-                h.update(y.to_bytes((self.domain_bits + 7) // 8, "big"))
+            h.update(_big_endian_entries(self.table, (self.domain_bits + 7) // 8))
         return h.hexdigest()
 
     # --- construction helpers -------------------------------------------
@@ -324,6 +340,39 @@ def _forward(spec: PermutationSpec, x, mul, p):
     # bothmix, (a, b, c) -> (a, a*b + c, a*c + b): word 1 gains a*b + b + c
     # and word 2 gains a*c + b + c
     return x ^ ((mul(a, b, p) ^ b ^ c) << n) ^ mul(a, c, p) ^ b ^ c
+
+
+def _free_words(spec: PermutationSpec) -> tuple[int, ...]:
+    """The words of ``spec`` that :func:`_forward` only XORs a product
+    into and never reads, and the words it passes through: the map is
+    ``x ^ g(x)`` with g blind to them, so ``f(x ^ m) == f(x) ^ m`` for m
+    held in them. pi3 and bothmix read every word (pi3 moves word 1 or 2
+    by the low bit of a), and a table is opaque."""
+    kind, w = spec.kind, spec.w
+    if kind == "identity":
+        return tuple(range(w))
+    if kind == "pi1":
+        return (2,)
+    if kind == "pi2":
+        return (1,)
+    if kind == "piw":
+        return tuple(i for i in range(w) if i % 3 == 2 or i >= w - w % 3)
+    return ()
+
+
+def _big_endian_entries(table: array, width: int) -> bytearray:
+    """The entries of ``table`` as ``width`` big-endian bytes each, in
+    order: a byteswapped copy of the array, whose low ``width`` bytes per
+    entry are gathered one byte column at a time."""
+    words = array("Q", table)
+    if sys.byteorder == "little":
+        words.byteswap()
+    raw = words.tobytes()
+    size = words.itemsize
+    out = bytearray(width * len(words))
+    for j in range(width):
+        out[j::width] = raw[size - width + j::size]
+    return out
 
 
 def _packed_table(entries, bits: int) -> array:

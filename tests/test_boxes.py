@@ -23,10 +23,12 @@ from condlab.boxes import (
     image_of_box,
     intersection_count,
     pad_side,
+    random_box,
     rank_to_digits,
     slices,
+    xor_sides,
 )
-from condlab.errors import BudgetError, RangeError, ShapeError
+from condlab.errors import BudgetError, NotAPermutationError, RangeError, ShapeError
 from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 
@@ -135,6 +137,68 @@ def test_pi1_image_of_binary_cube_enumerated_directly():
         expected.add(pack_words((a, b, c ^ ab), n))
     assert set(img.points) == expected
     assert len(img) == 8
+
+
+def _per_point_image(spec, box):
+    """The image one point at a time in product order, or the message and
+    witness of its first repeated output."""
+    owner, outputs = {}, []
+    for words in itertools.product(*box.sides):
+        x = pack_words(words, box.n)
+        y = spec.apply_packed(x)
+        if y in owner:
+            return (f"box inputs {owner[y]:#x} and {x:#x} both map to {y:#x}; "
+                    "the box searches need a bijection", (owner[y], x))
+        owner[y] = x
+        outputs.append(y)
+    return PointSet(outputs, box.n, box.w)
+
+
+def _image_or_collision(spec, box):
+    try:
+        return image_of_box(spec, box)
+    except NotAPermutationError as exc:
+        return str(exc), exc.witness
+
+
+IMAGE_SPECS = (
+    [PermutationSpec(kind, n, 3) for kind in ("pi1", "pi2", "pi3", "bothmix")
+     for n in (2, 3, 11, 17, 64)]
+    + [PermutationSpec.identity(n, w) for n in (2, 17, 64) for w in (1, 3, 5)]
+    + [PermutationSpec.piw(n, w) for n in (2, 3, 11, 17, 64) for w in range(4, 9)]
+    + [random_table(5, 2, 3), random_table(6, 3, 3)]
+)
+
+
+@pytest.mark.parametrize("spec", IMAGE_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_image_equals_the_per_point_image(spec):
+    # points are wider than 64 bits from n=17 at w=4 on
+    rng = random.Random(spec.n * 100 + spec.w)
+    for q in (1, 2, 3):
+        for _ in range(3):
+            box = random_box(rng, spec.n, q, spec.w)[1]
+            assert _image_or_collision(spec, box) == _per_point_image(spec, box)
+
+
+def test_bothmix_box_on_the_collapsed_plane_names_the_first_repeat():
+    n = 3
+    spec = PermutationSpec.bothmix(n)
+    box = QBox(((1, 2), (0, 1), (0, 1)), n)
+    with pytest.raises(NotAPermutationError) as exc:
+        image_of_box(spec, box)
+    x0, x = pack_words((1, 0, 1), n), pack_words((1, 1, 0), n)
+    assert exc.value.witness == (x0, x)
+    assert (str(exc.value), exc.value.witness) == _per_point_image(spec, box)
+
+
+def test_xor_sides_spreads_points_over_the_chosen_sides():
+    box = QBox(((0, 2), (1, 3), (1, 2)), 2)
+    assert box.packed_points() == [pack_words(t, 2) for t in itertools.product(*box.sides)]
+    assert xor_sides([0], box, [0, 2]) == [pack_words((a, 0, c), 2)
+                                           for a in (0, 2) for c in (1, 2)]
+    assert xor_sides([5, 7], box, []) == [5, 7]
+    assert xor_sides([pack_words((1, 1, 3), 2)], box, [1]) == [pack_words((1, 1 ^ 1, 3), 2),
+                                                               pack_words((1, 1 ^ 3, 3), 2)]
 
 
 def test_image_budget():

@@ -91,9 +91,9 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
 NUMPY_SCRIPT = """
 import json, sys, tempfile, os
 
-from condlab import (PermutationSpec, decompose, exact_conductance,
-                     heuristic_lower_bound, image_of_box, random_table,
-                     verify_bijective, verify_converse_bounds)
+from condlab import (PermutationSpec, decompose, empirical_condenser_profile,
+                     exact_conductance, heuristic_lower_bound, image_of_box,
+                     random_table, verify_bijective, verify_converse_bounds)
 from condlab.boxes import QBox
 
 loaded = {}
@@ -106,6 +106,8 @@ heuristic_lower_bound(PermutationSpec.pi1(17), 4, budget=3, seed=1)
 box = QBox.from_ranks([3, 1, 4], 3, 2)
 dec = decompose(image_of_box(spec, box), 1.0, 0.25, 0.25)
 verify_converse_bounds(dec, 0.1)
+image_of_box(PermutationSpec.piw(5, 6), QBox.from_ranks([5, 9, 2, 6, 5, 3], 5, 4))
+empirical_condenser_profile(PermutationSpec.pi1(5), 2.0, 0.25, 0.25, 1, 0)
 loaded["per_point"] = "numpy" in sys.modules
 verify_bijective(spec)
 loaded["scan"] = "numpy" in sys.modules

@@ -1,5 +1,6 @@
 """Permutation construction tests: formulas, bijectivity, tables, files."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -382,6 +383,74 @@ def test_table_inverse_of_a_non_bijection_names_the_first_collision():
         spec.invert_packed(0)
     assert exc.value.witness == first_collision_scan(spec)[2] == (10, 40)
     assert str(exc.value) == "table is not bijective: output 0x28 has two preimages"
+
+
+# --- free words and the table digest ---------------------------------------------
+
+
+FREE_WORD_SPECS = (
+    [PermutationSpec(kind, n, 3) for kind in ("pi1", "pi2", "pi3", "bothmix")
+     for n in (2, 3)]
+    + [PermutationSpec.identity(n, w) for n, w in ((2, 3), (3, 3), (2, 5))]
+    + [PermutationSpec.piw(2, w) for w in range(3, 9)]
+    + [PermutationSpec.piw(3, w) for w in (3, 4)]
+    + [random_table(8, 2, 3), PermutationSpec.explicit(random_table(9, 3, 2).table, 3, 2)]
+)
+
+
+def _carries_word(outputs, n, w, word):
+    """Whether f(x ^ m) == f(x) ^ m for every x and every m held in ``word``."""
+    shift = n * (w - 1 - word)
+    for m in range(1, 1 << n):
+        mask = m << shift
+        if any(outputs[x ^ mask] != y ^ mask for x, y in enumerate(outputs)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", FREE_WORD_SPECS,
+                         ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_free_words_are_exactly_the_words_carried_additively(spec):
+    # listed words must be carried, and no other word may be: the second
+    # half catches a declaration that is too small
+    outputs = [spec.apply_packed(x) for x in range(1 << spec.domain_bits)]
+    carried = tuple(i for i in range(spec.w) if _carries_word(outputs, spec.n, spec.w, i))
+    assert spec.free_words == carried
+
+
+def test_free_words_of_each_kind():
+    assert PermutationSpec.identity(5, 4).free_words == (0, 1, 2, 3)
+    assert PermutationSpec.pi1(11).free_words == (2,)
+    assert PermutationSpec.pi2(11).free_words == (1,)
+    assert PermutationSpec.piw(5, 8).free_words == (2, 5, 6, 7)
+    assert PermutationSpec.piw(5, 9).free_words == (2, 5, 8)
+    for spec in (PermutationSpec.pi3(5), PermutationSpec.bothmix(5), random_table(1, 2, 2)):
+        assert spec.free_words == ()
+
+
+def _per_entry_digest(spec):
+    """The table digest as one hash update per entry."""
+    h = hashlib.sha256()
+    h.update(f"{spec.kind}/{spec.n}/{spec.w}".encode())
+    if spec.seed is not None:
+        h.update(f"/s{spec.seed}".encode())
+    h.update(b"/t")
+    for y in spec.table:
+        h.update(y.to_bytes((spec.domain_bits + 7) // 8, "big"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, w", [(5, 1), (3, 3), (4, 4), (5, 4)])
+def test_table_digest_equals_the_per_entry_hash(n, w):
+    seeded = random_table(3, n, w)
+    assert seeded.digest() == _per_entry_digest(seeded)
+    explicit = PermutationSpec.explicit(seeded.table[::-1], n, w)
+    assert explicit.digest() == _per_entry_digest(explicit)
+
+
+def test_table_digest_is_pinned():
+    assert random_table(3, 5, 1).digest() == (
+        "5ba76db936de9cf50c2280d8e41f853da1848ce637561ccbb55c6af4595d5f52")
 
 
 # --- one packed array per table, and the bulk load of table files ---------------

@@ -2,7 +2,8 @@
 
 Every refusal exits 2 with one ``budget refused:`` line, names a count
 Python cannot print by its size, and comes back in seconds, since no
-refused shape computes C(2^n, q) or q^w points. The one seeded draw,
+refused shape computes q^w points, or C(2^n, q) when its lower bound
+(2^n/q)^q is already too long to print. The one seeded draw,
 ``boxes.random_box``, draws exactly ``rng.randrange(C(2^n, q))`` per side.
 """
 
@@ -47,6 +48,8 @@ def condlab(*argv):
     (("cond", *PI1_HUGE_Q, "--mode", "heuristic", "--budget", "1"), True),
     (("condenser-profile", *PI1_HUGE_Q, *EPS, "--trials", "1"), True),
     (("decompose", *PI1_HUGE_Q, *EPS, "--eps3", "0.1"), True),
+    (("cond", "--spec", "identity", "--n", "64", "--w", "1", "--q", "65536",
+      "--mode", "heuristic", "--budget", "1"), False),
 ])
 def test_refusal_exits_2_in_seconds_with_one_line(argv, printable):
     proc = condlab(*argv)
@@ -73,6 +76,20 @@ def test_library_refusals_of_unprintable_counts_carry_no_count():
         image_of_box(spec, QBox(((0, 1, 2, 3),) * 8000, 2))
     assert exc.value.refused is None
     assert str(exc.value) == "box holds >= 10^4816 points, over the budget of 4194304"
+
+
+@pytest.mark.parametrize("n, q, message", [
+    # the bound (2^n/q)^q already passes 4300 digits: C(2^n, q) is not computed
+    (64, 65536, "a seeded draw needs C(2^64,65536) >= 10^946958 ranks per side, "
+                "past the 4300 digits a count may print"),
+    # the bound fits but C(2^n, q) itself does not
+    (14, 8192, "a seeded draw needs C(2^14,8192) >= 10^4929 ranks per side, "
+               "past the 4300 digits a count may print"),
+])
+def test_a_draw_whose_side_rank_is_unprintable_is_refused(n, q, message):
+    with pytest.raises(BudgetError) as exc:
+        random_box(random.Random(0), n, q, 1)
+    assert (str(exc.value), exc.value.refused) == (message, None)
 
 
 def _reference_ranks(seed, n, q, w, count):
