@@ -12,8 +12,9 @@ put into them, which builds both a box's points and its image. Sides
 that must reach size q are filled by :func:`pad_side`, the
 lexicographically smallest completion, and the densest side of one
 coordinate is :func:`fattest_side`.
-Box and point counts meet their budgets here (:func:`check_box_count`,
-:func:`check_point_count`), and :func:`random_box` is the one seeded draw.
+Box counts meet a caller's budget here (:func:`check_box_count`), point
+counts the fixed ``POINT_BUDGET`` (:func:`check_point_count`), and
+:func:`random_box` is the one seeded draw.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (PRINTABLE_DIGITS, BudgetError, NotAPermutationError, RangeE
 from .perms import PermutationSpec
 
 DEFAULT_BOX_BUDGET = 10 ** 6
-DEFAULT_POINT_BUDGET = 1 << 22
+POINT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -230,18 +231,18 @@ def check_box_count(n: int, q: int, w: int, budget: int, task: str = "enumeratio
     raise BudgetError(msg, refused=total)
 
 
-def check_point_count(q: int, w: int, budget: int = DEFAULT_POINT_BUDGET) -> None:
-    """A BudgetError when the q^w points of one q-box are over ``budget``."""
+def check_point_count(q: int, w: int) -> None:
+    """A BudgetError when the q^w points of one q-box are over budget."""
     size = q ** w
-    if size > budget:
+    if size > POINT_BUDGET:
         raise BudgetError(f"box holds {name_count(size).removeprefix('= ')} points, "
-                          f"over the budget of {budget}", refused=size)
+                          f"over the budget of {POINT_BUDGET}", refused=size)
 
 
 def random_box(rng, n: int, q: int, w: int) -> tuple[tuple[int, ...], QBox]:
     """A seeded q-box and its per-side combination ranks, each drawn by
-    ``rng.randrange(C(2^n, q))``. The box's points are held to the default
-    point budget first, and then C(2^n, q) to the digits Python prints:
+    ``rng.randrange(C(2^n, q))``. The box's points are held to the point
+    budget first, and then C(2^n, q) to the digits Python prints:
     by its lower bound (2^n/q)^q before it is computed, so a refused shape
     never computes q^w points, nor a C(2^n, q) whose bound is past them."""
     check_point_count(q, w)
@@ -275,10 +276,10 @@ def digits_to_rank(digits, radix: int) -> int:
     return rank
 
 
-def enumerate_qboxes(n: int, q: int, w: int, budget: int = DEFAULT_BOX_BUDGET):
+def enumerate_qboxes(n: int, q: int, w: int):
     """Yield every q-box exactly once, in lexicographic order of sides."""
     _check_box_params(n, q, w)
-    yield from enumerate_qboxes_range(n, q, w, 0, check_box_count(n, q, w, budget))
+    yield from enumerate_qboxes_range(n, q, w, 0, check_box_count(n, q, w, DEFAULT_BOX_BUDGET))
 
 
 def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
@@ -307,7 +308,7 @@ def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
             idx[pos] = 0
 
 
-def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
     """The exact image point set of a box under a permutation spec.
 
     The spec is evaluated once per combination of the sides outside its
@@ -322,7 +323,7 @@ def image_of_box(spec: PermutationSpec, box: QBox, budget: int = DEFAULT_POINT_B
             f"box shape (n={box.n}, w={box.w}) does not match spec "
             f"(n={spec.n}, w={spec.w})"
         )
-    check_point_count(box.q, box.w, budget)
+    check_point_count(box.q, box.w)
     free = spec.free_words
     bases = xor_sides([0], box, [i for i in range(box.w) if i not in free])
     outputs = xor_sides(list(map(spec.apply_packed, bases)), box, free)

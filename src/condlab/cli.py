@@ -25,6 +25,8 @@ from .perms import (
     PermutationSpec,
     WordVector,
     load_table_file,
+    parse_header,
+    parse_hex,
     random_table,
     verify_bijective,
     write_table_file,
@@ -150,6 +152,11 @@ def _maybe_warn_composite(spec: PermutationSpec):
         )
 
 
+def _given(**flags) -> dict:
+    """The flags that were given; the library holds the other defaults."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _write_json(path, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -181,23 +188,14 @@ def write_box_file(box: QBox, path) -> None:
 
 def load_box_file(path) -> QBox:
     with open(path, errors="replace") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 5 or parts[:2] != ["condlab-box", "v1"]:
-            raise TableFormatError(f"bad header {header!r}", line=1)
-        try:
-            n = int(parts[2].removeprefix("n="))
-            w = int(parts[3].removeprefix("w="))
-            q = int(parts[4].removeprefix("q="))
-        except ValueError:
-            raise TableFormatError(f"bad header fields in {header!r}", line=1)
+        n, w, q = parse_header(fh.readline().rstrip("\n"), "condlab-box", ("n", "w", "q"))
         sides = []
         for lineno, raw in enumerate(fh, start=2):
             text = raw.strip()
             if not text:
                 continue
             try:
-                values = [int(t, 16) for t in text.split()]
+                values = [parse_hex(t) for t in text.split()]
             except ValueError:
                 raise TableFormatError(f"not hex values: {text!r}", line=lineno)
             if len(values) != q:
@@ -205,10 +203,8 @@ def load_box_file(path) -> QBox:
                     f"side has {len(values)} values, expected {q}", line=lineno
                 )
             if len(set(values)) != q:
-                raise TableFormatError(
-                    "duplicate value in side", line=lineno
-                )
-            if any(v >= (1 << n) or v < 0 for v in values):
+                raise TableFormatError("duplicate value in side", line=lineno)
+            if max(values) >= 1 << n:  # hex digits carry no sign
                 raise TableFormatError("side value out of range", line=lineno)
             sides.append(tuple(sorted(values)))
         if len(sides) != w:
@@ -233,7 +229,7 @@ def cmd_perm_verify(args) -> int:
     _collect_config(args)
     spec = _build_spec(args)
     _maybe_warn_composite(spec)
-    report = verify_bijective(spec, budget_bits=args.budget_bits)
+    report = verify_bijective(spec, **_given(budget_bits=args.budget_bits))
     if report.bijective:
         print(f"bijective=yes checked={report.checked}")
     else:
@@ -272,18 +268,12 @@ def cmd_cond(args) -> int:
     spec = _build_spec(args)
     _maybe_warn_composite(spec)
     if args.mode == "exact":
-        kwargs = {}
-        if args.budget is not None:
-            kwargs["outer_budget"] = args.budget
-        if args.checkpoint:
-            kwargs["checkpoint_path"] = args.checkpoint
-            kwargs["checkpoint_every"] = args.checkpoint_every
-        report = cond_mod.exact_conductance(spec, args.q, **kwargs)
+        report = cond_mod.exact_conductance(spec, args.q, **_given(
+            outer_budget=args.budget, checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every))
     else:
-        budget = args.budget if args.budget is not None else 200
-        report = cond_mod.heuristic_lower_bound(
-            spec, args.q, budget=budget, seed=args.seed,
-        )
+        report = cond_mod.heuristic_lower_bound(spec, args.q, seed=args.seed,
+                                                **_given(budget=args.budget))
     if args.out:
         _write_json(args.out, report.to_json_dict())
     print(f"condd={report.condd:.12g} mode={report.mode} witnesses=yes")
@@ -296,17 +286,14 @@ def cmd_decompose(args) -> int:
     _maybe_warn_composite(spec)
 
     if args.box_file:
-        boxes = [load_box_file(args.box_file)]
-        for box in boxes:
-            if box.n != spec.n or box.w != spec.w or box.q != args.q:
-                raise _UsageError(
-                    f"box file shape (n={box.n}, w={box.w}, q={box.q}) does "
-                    "not match the requested parameters"
-                )
+        box = load_box_file(args.box_file)
+        if (box.n, box.w, box.q) != (spec.n, spec.w, args.q):
+            raise _UsageError(f"box file shape (n={box.n}, w={box.w}, q={box.q}) does "
+                              "not match the requested parameters")
+        boxes = [box]
     else:
         rng = random.Random(args.box_seed)
-        count = args.trials if args.trials is not None else 1
-        boxes = [random_box(rng, spec.n, args.q, spec.w)[1] for _ in range(count)]
+        boxes = [random_box(rng, spec.n, args.q, spec.w)[1] for _ in range(args.trials)]
 
     runs = []
     for box in boxes:
@@ -376,9 +363,6 @@ def cmd_experiment(args) -> int:
         w_list = []
     if not w_list or any(w < 1 for w in w_list):
         raise _UsageError(f"bad --w-list {args.w_list!r}")
-    eps1 = args.eps1 if args.eps1 is not None else 0.5
-    eps2 = args.eps2 if args.eps2 is not None else 0.0625
-    c = args.c if args.c is not None else 0.25
 
     header = [
         "row", "spec", "seed", "n", "w", "q", "alpha", "max_count", "condd",
@@ -389,7 +373,8 @@ def cmd_experiment(args) -> int:
     lines = [",".join(header)]
     rng = random.Random(args.seed)
     for w in w_list:
-        sheet = cond_mod.bound_sheet(args.n, w, args.q, eps1=eps1, eps2=eps2, c=c)
+        sheet = cond_mod.bound_sheet(args.n, w, args.q, eps1=args.eps1, eps2=args.eps2,
+                                     c=args.c)
         shared = [
             _fmt(sheet.condenser_bound), _fmt(sheet.repetition_bound),
             _fmt(sheet.random_perm_bound),
@@ -470,7 +455,7 @@ def build_parser() -> _Parser:
     p_verify = perm_sub.add_parser("verify", help="exhaustive bijectivity scan")
     _add_spec_args(p_verify)
     _add_common(p_verify, n=False, seed=True, out=True)
-    p_verify.add_argument("--budget-bits", type=int, default=24)
+    p_verify.add_argument("--budget-bits", type=int)
     p_verify.set_defaults(handler=cmd_perm_verify)
     for name, inverse in (("eval", False), ("invert", True)):
         p_e = perm_sub.add_parser(name, help=f"{name} one point")
@@ -495,7 +480,7 @@ def build_parser() -> _Parser:
     p_cond.add_argument("--budget", type=int,
                         help="outer box budget (exact) or evaluations (heuristic)")
     p_cond.add_argument("--checkpoint", help="checkpoint file path")
-    p_cond.add_argument("--checkpoint-every", type=int, default=1000)
+    p_cond.add_argument("--checkpoint-every", type=int)
     p_cond.set_defaults(handler=cmd_cond)
 
     p_dec = sub.add_parser("decompose", help="partition a box image")
@@ -508,7 +493,7 @@ def build_parser() -> _Parser:
     p_dec.add_argument("--eps3", type=float)
     p_dec.add_argument("--box-seed", type=int, default=0)
     p_dec.add_argument("--box-file")
-    p_dec.add_argument("--trials", type=int, help="number of seeded boxes")
+    p_dec.add_argument("--trials", type=int, default=1, help="number of seeded boxes")
     p_dec.set_defaults(handler=cmd_decompose)
 
     p_prof = sub.add_parser("condenser-profile",
@@ -540,9 +525,9 @@ def build_parser() -> _Parser:
     p_expm.add_argument("--alpha-n", type=float, dest="alpha_n")
     p_expm.add_argument("--count", type=int, default=20,
                         help="random permutations per w")
-    p_expm.add_argument("--eps1", type=float)
-    p_expm.add_argument("--eps2", type=float)
-    p_expm.add_argument("--c", type=float)
+    p_expm.add_argument("--eps1", type=float, default=0.5)
+    p_expm.add_argument("--eps2", type=float, default=0.0625)
+    p_expm.add_argument("--c", type=float, default=0.25)
     p_expm.add_argument("--out", help="write the CSV here (default stdout)")
     p_expm.set_defaults(handler=cmd_experiment)
 

@@ -458,8 +458,8 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     """Check the residual bounds of a decomposition.
 
     The R0 bound needs the exact maximum of |S ∩ V| over q-boxes V for the
-    source set S, which :func:`best_V_for_U` computes under its default
-    node budget. The precondition stays unchecked, and the R0 bound
+    source set S, which :func:`best_V_for_U` computes under the inner
+    search's node budget. The precondition stays unchecked, and the R0 bound
     unverified, when q is not an integer, when q exceeds the alphabet size
     2^n (no q-box exists), when S is empty, or when the search exceeds its
     budget.

@@ -2,13 +2,15 @@
 
 For side size q, the conductance degree is log_q of the largest
 |pi(U) ∩ V| over all pairs of q-boxes U, V; it always lies in [1, w].
-Exact mode enumerates every U and solves the inner maximization over V
-with a depth-first branch and bound: a partial box is pruned when the
+Exact mode enumerates every U, up to ``outer_budget`` boxes, and solves
+the inner maximization over V with a depth-first branch and bound of at
+most ``INNER_NODE_BUDGET`` nodes: a partial box is pruned when the
 per-coordinate top-q frequency sums of the surviving points cannot beat
 the incumbent. The incumbent only ever moves on a strict improvement and
 candidates are visited in lexicographic order, so the reported witnesses
 are the lexicographically smallest (U, V) achieving the maximum and
-full and resumed runs agree bit for bit.
+full and resumed runs agree bit for bit; a checkpoint's incumbent is
+resumed only when its witnesses replay to its count.
 
 Heuristic mode hill-climbs over U with random single-value side swaps
 (restarting when stuck) and solves V greedily per U; its result is a
@@ -51,9 +53,9 @@ from .boxes import (
     _check_box_params,
 )
 from .errors import BudgetError, CondlabError, RangeError, ShapeError
-from .perms import PermutationSpec
+from .perms import PermutationSpec, parse_hex
 
-DEFAULT_INNER_NODE_BUDGET = 10 ** 7
+INNER_NODE_BUDGET = 10 ** 7
 
 
 def degree_from_count(q: int, count: int, w: int) -> float:
@@ -132,9 +134,9 @@ def replay_witness(spec: PermutationSpec, report: ConductanceReport) -> int:
 # --- inner maximization: densest q-box over a point set -------------------
 
 
-def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
-                  node_budget: int | None = None):
-    """Exact max of |points ∩ V| over q-boxes V, beating ``incumbent``.
+def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1):
+    """Exact max of |points ∩ V| over q-boxes V, beating ``incumbent``,
+    in at most ``INNER_NODE_BUDGET`` nodes (a BudgetError past them).
 
     ``points`` are packed. Returns (count, sides) where sides is None when
     nothing beats the incumbent. Visits per-coordinate subsets in
@@ -150,15 +152,14 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
     best = incumbent
     best_sides = None
     nodes = 0
+    node_budget = INNER_NODE_BUDGET  # read per call, so a test can patch it
 
     def visit(depth, pts, chosen):
         nonlocal best, best_sides, nodes
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetError(
-                f"inner search exceeded its node budget of {node_budget}",
-                refused=nodes,
-            )
+        if nodes > node_budget:
+            raise BudgetError(f"inner search exceeded its node budget of {node_budget}",
+                              refused=nodes)
         # a q-box keeps at most the q fattest slices of each coordinate
         groups = [slices(pts, n, w, j) for j in range(depth, w)]
         bound = min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
@@ -179,19 +180,27 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1,
     return best, best_sides
 
 
-def best_V_for_U(points: PointSet, q: int,
-                 node_budget: int | None = DEFAULT_INNER_NODE_BUDGET) -> tuple[QBox, int]:
+def best_V_for_U(points: PointSet, q: int) -> tuple[QBox, int]:
     """Exact inner maximization of |points ∩ V| over all q-boxes V."""
     if len(points) == 0:
         raise ShapeError("cannot maximize over an empty point set")
     _check_box_params(points.n, q, points.w)
-    count, sides = _best_box_bnb(
-        points.points, points.n, points.w, q, node_budget=node_budget
-    )
+    count, sides = _best_box_bnb(points.points, points.n, points.w, q)
     return QBox(sides, points.n), count
 
 
 # --- exact outer search ----------------------------------------------------
+
+
+def _replays(spec: PermutationSpec, q: int, count: int, u_sides, v_sides) -> bool:
+    """True when the sides are two q-boxes of the spec's shape and
+    |pi(U) ∩ V| is ``count``, at least 1, as a report must replay."""
+    try:
+        u, v = QBox(u_sides, spec.n), QBox(v_sides, spec.n)
+    except ShapeError:
+        return False
+    return (u.w == v.w == spec.w and u.q == v.q == q and count >= 1
+            and intersection_count(image_of_box(spec, u), v) == count)
 
 
 def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sides,
@@ -216,7 +225,6 @@ def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sid
 
 def exact_conductance(spec: PermutationSpec, q: int, *,
                       outer_budget: int = DEFAULT_BOX_BUDGET,
-                      inner_node_budget: int = DEFAULT_INNER_NODE_BUDGET,
                       threads: int = 1,
                       checkpoint_path: str | None = None,
                       checkpoint_every: int = 1000) -> ConductanceReport:
@@ -229,8 +237,8 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     none), at the end, and at the failing box when the inner search runs
     out of nodes. A checkpoint holds the rank of the next box as its
     cursor, and its ``boxes_examined`` is that rank; a file whose cursor is
-    out of range, whose count differs from the cursor's rank, or that is
-    past box 0 without an incumbent and both witnesses is refused."""
+    out of range, whose count differs from the cursor's rank, or whose
+    incumbent is not empty at box 0 or past it does not replay is refused."""
     del threads
     t0 = time.monotonic()
     _check_box_params(spec.n, q, spec.w)
@@ -248,23 +256,21 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
             )
         radix = comb(1 << spec.n, q)
         start = digits_to_rank(ck["cursor"], radix)
+        best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
         if (not 0 <= start <= total or rank_to_digits(start, radix, spec.w) != ck["cursor"]
                 or ck["boxes_examined"] != start
-                or start and (ck["max_count"] < 1 or None in (ck["witness_u"], ck["witness_v"]))):
+                or not (_replays(spec, q, best, best_u, best_v) if start
+                        else (best, best_u, best_v) == (-1, None, None))):
             raise CondlabError(f"checkpoint {checkpoint_path} holds an invalid cursor "
                                f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
-                               f"or incumbent max_count={ck['max_count']}")
-        best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
+                               f"or incumbent max_count={best}")
 
     # rank is the cursor: the next box's rank and the number examined
     rank = start
     for ubox in enumerate_qboxes_range(spec.n, q, spec.w, start, total):
         img = image_of_box(spec, ubox)
         try:
-            count, sides = _best_box_bnb(
-                img.points, spec.n, spec.w, q, incumbent=best,
-                node_budget=inner_node_budget,
-            )
+            count, sides = _best_box_bnb(img.points, spec.n, spec.w, q, incumbent=best)
         except BudgetError:
             if checkpoint_path:
                 write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
@@ -488,9 +494,7 @@ def _sides_to_text(sides) -> str:
 def _sides_from_text(text: str):
     if text == "-":
         return None
-    return tuple(
-        tuple(int(v, 16) for v in side.split(",")) for side in text.split(";")
-    )
+    return tuple(tuple(parse_hex(v) for v in side.split(",")) for side in text.split(";"))
 
 
 def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import DegreeMismatchError, UnsupportedDegreeError
 
 MAX_DEGREE = 64
+SELFCHECK_SAMPLES = 2000  # triples a sampled selfcheck draws (inverses: at most 500)
 
 
 def clmul(a: int, b: int) -> int:
@@ -206,7 +207,7 @@ def gf_inv(a: FieldElement, p: ReductionPolynomial) -> FieldElement:
     return gf_pow(a, (1 << a.n) - 2, p)
 
 
-def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
+def selfcheck(n: int, seed: int = 0) -> dict:
     """Run field axiom checks for degree n and return a summary dict.
 
     Exhaustive over all triples for n <= 5, seeded sampling beyond that.
@@ -230,10 +231,10 @@ def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
         rng = random.Random(seed)
         triples = (
             (rng.randrange(size), rng.randrange(size), rng.randrange(size))
-            for _ in range(samples)
+            for _ in range(SELFCHECK_SAMPLES)
         )
         mode = "sampled"
-        total = samples
+        total = SELFCHECK_SAMPLES
 
     checked = 0
     for a, b, c in triples:
@@ -254,7 +255,7 @@ def selfcheck(n: int, samples: int = 2000, seed: int = 0) -> dict:
         nonzero = range(1, size)
     else:
         rng = random.Random(seed + 1)
-        nonzero = (rng.randrange(1, size) for _ in range(min(samples, 500)))
+        nonzero = (rng.randrange(1, size) for _ in range(min(SELFCHECK_SAMPLES, 500)))
     for a in nonzero:
         inv = gf_inv(FieldElement(a, n), p).bits
         if mul(a, inv) != 1:

@@ -19,8 +19,7 @@ Named constructions (w = 3 unless noted):
                with equal tail words, so this map is NOT a bijection; it
                is kept as an explicit experiment for ``verify_bijective``.
 
-Arithmetic is GF(2^n) under the pinned default modulus unless a spec is
-built with an explicit one.
+Arithmetic is GF(2^n) under the pinned default modulus of the degree.
 
 Each algebraic map is written once, in ``_forward``, for one point and
 for a block alike. Beside it, ``_free_words`` declares the words each
@@ -39,9 +38,10 @@ blocks of ascending inputs, and import numpy only when they run, so the
 per-point layers above (box images, the searches, the condenser) never
 load it.
 
-A ``random`` or ``table`` spec holds its 2^(nw) outputs, and its lazy
-inverse, as one ``array("Q")``: a lookup returns a Python int, and the
-whole-domain passes read the same buffer as numpy without a copy.
+A ``random`` or ``table`` spec, refused past the 24-bit exhaustive
+budget, holds its 2^(nw) outputs, and its lazy inverse, as one
+``array("Q")``: a lookup returns a Python int, and the whole-domain
+passes read the same buffer as numpy without a copy.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .errors import (
     TableFormatError,
     UnsupportedDegreeError,
 )
-from .gf2n import ReductionPolynomial, default_poly, is_prime, mul_raw
+from .gf2n import MAX_DEGREE, ReductionPolynomial, default_poly, is_prime, mul_raw
 
 EXHAUSTIVE_BUDGET_BITS = 24
 
@@ -137,10 +137,10 @@ class PermutationSpec:
     kind: str
     n: int
     w: int
-    poly: ReductionPolynomial | None = None
+    poly: ReductionPolynomial | None = field(default=None, init=False)
     seed: int | None = None
     table: array | None = None
-    _inverse: array | None = field(default=None, repr=False, compare=False)
+    _inverse: array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -155,20 +155,12 @@ class PermutationSpec:
             raise ShapeError(f"piw requires w >= 3, got w={self.w}")
         if self.w < 1:
             raise ShapeError("w must be at least 1")
-        if self.poly is None and self.kind in _PRIME_SENSITIVE:
+        if self.kind in _PRIME_SENSITIVE:
             self.poly = default_poly(self.n)
-        if self.poly is not None and self.poly.n != self.n:
-            raise ShapeError(
-                f"modulus degree {self.poly.n} does not match n={self.n}"
-            )
         if self.kind in ("random", "table"):
             if self.table is None:
                 raise ValueError(f"{self.kind} spec needs a table")
-            size = 1 << self.domain_bits
-            if len(self.table) != size:
-                raise NotAPermutationError(
-                    f"table has {len(self.table)} entries, expected {size}"
-                )
+            _check_domain_bits(self.domain_bits, "a table over a ")
             self.table = _packed_table(self.table, self.domain_bits)
         elif self.table is not None:
             raise ValueError(f"{self.kind} spec does not take a table")
@@ -210,24 +202,24 @@ class PermutationSpec:
         return cls("identity", n, w)
 
     @classmethod
-    def pi1(cls, n: int, poly: ReductionPolynomial | None = None) -> "PermutationSpec":
-        return cls("pi1", n, 3, poly)
+    def pi1(cls, n: int) -> "PermutationSpec":
+        return cls("pi1", n, 3)
 
     @classmethod
-    def pi2(cls, n: int, poly: ReductionPolynomial | None = None) -> "PermutationSpec":
-        return cls("pi2", n, 3, poly)
+    def pi2(cls, n: int) -> "PermutationSpec":
+        return cls("pi2", n, 3)
 
     @classmethod
-    def pi3(cls, n: int, poly: ReductionPolynomial | None = None) -> "PermutationSpec":
-        return cls("pi3", n, 3, poly)
+    def pi3(cls, n: int) -> "PermutationSpec":
+        return cls("pi3", n, 3)
 
     @classmethod
-    def piw(cls, n: int, w: int, poly: ReductionPolynomial | None = None) -> "PermutationSpec":
-        return cls("piw", n, w, poly)
+    def piw(cls, n: int, w: int) -> "PermutationSpec":
+        return cls("piw", n, w)
 
     @classmethod
-    def bothmix(cls, n: int, poly: ReductionPolynomial | None = None) -> "PermutationSpec":
-        return cls("bothmix", n, 3, poly)
+    def bothmix(cls, n: int) -> "PermutationSpec":
+        return cls("bothmix", n, 3)
 
     @classmethod
     def explicit(cls, table, n: int, w: int) -> "PermutationSpec":
@@ -376,26 +368,26 @@ def _big_endian_entries(table: array, width: int) -> bytearray:
 
 
 def _packed_table(entries, bits: int) -> array:
-    """``entries`` copied into one ``array("Q")``. Up to the exhaustive
-    budget they must be a permutation of ``range(2^bits)``: a scatter
-    into a bytearray checks that (an entry past the end raises
-    IndexError, and a repeat leaves some slot at 0). Only a table that
-    fails, or holds a value no ``array("Q")`` can, is walked for its
-    first fault in input order."""
+    """``entries`` copied into one ``array("Q")``, which must be a
+    permutation of ``range(2^bits)``: a scatter into a bytearray checks
+    that (an entry past the end raises IndexError, and a repeat leaves
+    some slot at 0). Only a table that fails, or holds a value no
+    ``array("Q")`` can, is walked for its first fault in input order."""
     size = 1 << bits
+    if len(entries) != size:
+        raise NotAPermutationError(f"table has {len(entries)} entries, expected {size}")
     try:
         table = array("Q", entries)
     except (TypeError, OverflowError):
         _raise_first_fault(entries, size)
-    if bits <= EXHAUSTIVE_BUDGET_BITS:
-        seen = bytearray(size)
-        try:
-            for y in table:
-                seen[y] = 1
-        except IndexError:
-            _raise_first_fault(table, size)
-        if 0 in seen:
-            _raise_first_fault(table, size)
+    seen = bytearray(size)
+    try:
+        for y in table:
+            seen[y] = 1
+    except IndexError:
+        _raise_first_fault(table, size)
+    if 0 in seen:
+        _raise_first_fault(table, size)
     return table
 
 
@@ -536,6 +528,30 @@ def _hex_digits(bits: int) -> int:
     return -(-bits // 4)
 
 
+def parse_hex(text: str) -> int:
+    """``text`` as hex of the digits 0-9, a-f and A-F only, where
+    ``int(text, 16)`` also takes a sign, ``0x``, ``_`` and non-ASCII digits."""
+    if not text or text.strip("0123456789abcdefABCDEF"):
+        raise ValueError(f"{text!r} is not a hex value")
+    return int(text, 16)
+
+
+def parse_header(header: str, magic: str, names) -> list[int]:
+    """The values of a ``<magic> v1 <name>=<value> ...`` header in the order
+    of ``names``: positive ints, the first (n) at most 64, else a
+    TableFormatError on line 1."""
+    parts = header.split()
+    if len(parts) != 2 + len(names) or parts[:2] != [magic, "v1"]:
+        raise TableFormatError(f"bad header {header!r}", line=1)
+    try:
+        values = [int(part.removeprefix(f"{name}=")) for part, name in zip(parts[2:], names)]
+    except ValueError:
+        values = [0]
+    if min(values) < 1 or values[0] > MAX_DEGREE:
+        raise TableFormatError(f"bad header fields in {header!r}", line=1)
+    return values
+
+
 def write_table_file(spec: PermutationSpec, path) -> None:
     bits = spec.domain_bits
     _check_domain_bits(bits, "exporting a ")
@@ -564,17 +580,7 @@ def load_table_file(path) -> PermutationSpec:
     a fault."""
     # an undecodable byte reads as U+FFFD, which no header or hex field accepts
     with open(path, errors="replace") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "condlab-table" or parts[1] != "v1":
-            raise TableFormatError(f"bad header {header!r}", line=1)
-        try:
-            n = int(parts[2].removeprefix("n="))
-            w = int(parts[3].removeprefix("w="))
-        except ValueError:
-            n = w = 0
-        if n < 1 or w < 1:
-            raise TableFormatError(f"bad header fields in {header!r}", line=1)
+        n, w = parse_header(fh.readline().rstrip("\n"), "condlab-table", ("n", "w"))
         _check_domain_bits(n * w, "a table file over a ")
         body = fh.read()
     table = _decode_canonical_body(body, n * w)
@@ -623,7 +629,7 @@ def _parse_body_lines(body: str, bits: int) -> list[int]:
                 f"expected {digits} hex digits, got {text!r}", line=lineno
             )
         try:
-            y = int(text, 16)
+            y = parse_hex(text)
         except ValueError:
             raise TableFormatError(f"not a hex value: {text!r}", line=lineno)
         if y >= size:

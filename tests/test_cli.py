@@ -267,6 +267,41 @@ def test_box_file_round_trip_and_duplicate_detection(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+DECOMPOSE_PI1 = ("decompose", "--spec", "pi1", "--n", "2", "--q", "2",
+                 "--eps1", "0.25", "--eps2", "0.25", "--eps3", "0.1")
+
+
+@pytest.mark.parametrize("fields", ["n=-1 w=3 q=1", "n=0 w=3 q=2", "n=2 w=0 q=2",
+                                    "n=2 w=3 q=0", "n=65 w=1 q=1", f"n={10 ** 30} w=1 q=1",
+                                    "n=x w=3 q=2", "w=3 n=2 q=2"])
+def test_box_headers_need_positive_fields_and_n_at_most_64(fields, tmp_path, capsys):
+    path = tmp_path / "box.txt"
+    path.write_text(f"condlab-box v1 {fields}\n0\n")
+    message = f"line 1: bad header fields in 'condlab-box v1 {fields}'"
+    with pytest.raises(TableFormatError) as exc:
+        load_box_file(path)
+    assert (str(exc.value), exc.value.line) == (message, 1)
+    assert run(*DECOMPOSE_PI1, "--box-file", str(path)) == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("side", ["0x1 2", "+0 1", "0 1_1", "0 -1"])
+def test_box_sides_read_hex_digits_only(side, tmp_path):
+    path = tmp_path / "box.txt"
+    path.write_text(f"condlab-box v1 n=4 w=2 q=2\n0 1\n{side}\n")
+    with pytest.raises(TableFormatError) as exc:
+        load_box_file(path)
+    assert str(exc.value) == f"line 3: not hex values: {side!r}"
+
+
+def test_box_files_keep_their_accepted_variants(tmp_path):
+    path = tmp_path / "box.txt"
+    path.write_bytes(b"condlab-box v1 n=4 w=2 q=2\r\n A 0 \r\n\r\n1 f\r\n")
+    assert load_box_file(path) == QBox(((0, 10), (1, 15)), 4)
+    path.write_text("condlab-box v1 n=64 w=1 q=2\nffffffffffffffff 0\n")
+    assert load_box_file(path) == QBox(((0, 2 ** 64 - 1),), 64)
+
+
 def test_condenser_profile_cli(tmp_path, capsys):
     out = tmp_path / "profile.json"
     assert run("condenser-profile", "--spec", "pi1", "--n", "2", "--w", "3",

@@ -414,9 +414,10 @@ def test_verified_branch_arithmetic_with_synthetic_precondition(monkeypatch):
 
 
 def test_refused_inner_search_leaves_the_precondition_unverified(monkeypatch):
-    def refuse(points, n, w, q, incumbent=-1, node_budget=None):
-        raise BudgetError(f"inner search exceeded its node budget of {node_budget}",
-                          refused=node_budget + 1)
+    def refuse(points, n, w, q, incumbent=-1):
+        budget = conductance.INNER_NODE_BUDGET
+        raise BudgetError(f"inner search exceeded its node budget of {budget}",
+                          refused=budget + 1)
 
     monkeypatch.setattr(conductance, "_best_box_bnb", refuse)
     box = QBox(((0, 1), (0, 1), (0, 1)), 2)
@@ -429,7 +430,7 @@ def test_refused_inner_search_leaves_the_precondition_unverified(monkeypatch):
     assert by_name["r0_size"].holds is None
     assert by_name["r0_size"].note == (
         "unverified: intersection precondition not checked (inner search "
-        f"exceeded its node budget of {conductance.DEFAULT_INNER_NODE_BUDGET})"
+        f"exceeded its node budget of {conductance.INNER_NODE_BUDGET})"
     )
     assert by_name["r1_size"].holds is True
 

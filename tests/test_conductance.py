@@ -206,19 +206,48 @@ def test_checkpoint_resume_equals_full_run(tmp_path, monkeypatch):
     assert resumed.boxes_examined == full.boxes_examined
 
 
-def test_inner_budget_refusal_keeps_a_resumable_checkpoint(tmp_path):
+def test_inner_budget_refusal_keeps_a_resumable_checkpoint(tmp_path, monkeypatch):
+    from condlab import conductance
+
     spec = random_table(3, 2, 3)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "refused.ckpt")
     # node budget 11 lets the first two boxes through, then refuses one
-    with pytest.raises(BudgetError):
-        exact_conductance(spec, 2, inner_node_budget=11, checkpoint_path=path)
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "INNER_NODE_BUDGET", 11)
+        with pytest.raises(BudgetError, match="node budget of 11"):
+            exact_conductance(spec, 2, checkpoint_path=path)
     assert read_checkpoint(path)["boxes_examined"] == 2
     resumed = exact_conductance(spec, 2, checkpoint_path=path)
     assert resumed.max_count == full.max_count
     assert resumed.witness_u == full.witness_u
     assert resumed.witness_v == full.witness_v
     assert resumed.boxes_examined == full.boxes_examined
+
+
+@pytest.mark.parametrize("edits", [
+    {"max_count": "9"},              # the witnesses replay to 8
+    {"max_count": "0", "witness_v": "2,3;2,3;2,3"},  # a pair that meets in no point
+    {"witness_u": "0,1;0,1;1,0"},    # a side out of order
+    {"witness_u": "0,1;0,1;1,1"},    # a side with a repeat
+    {"witness_v": "0,1;0,1"},        # two sides for a w = 3 search
+    {"witness_v": "0,1,2;0,1,2;0,1,2"},  # sides of 3 for a q = 2 search
+    {"witness_u": "0,1;0,1;0,0x1"},  # not hex digits only
+    {"witness_v": "-"},              # no witness past box 0
+    {"cursor": "(0,0,0)", "boxes_examined": "0"},  # an incumbent before box 0
+], ids=["count", "empty-meet", "unsorted", "repeat", "w", "q", "hex", "none", "box-0"])
+def test_a_resumed_incumbent_must_replay(tmp_path, monkeypatch, edits):
+    spec = PermutationSpec.pi1(2)
+    path = tmp_path / "tampered.ckpt"
+    _checkpoint_after_first_write(monkeypatch, spec, 2, str(path), 100)
+    fields = dict(line.split("=", 1) for line in path.read_text().splitlines()[1:])
+    assert (fields["max_count"], fields["witness_u"]) == ("8", "0,1;0,1;0,1")
+    fields.update(edits)
+    path.write_text("condlab-ckpt v1\n" + "".join(f"{k}={v}\n" for k, v in fields.items()))
+    with pytest.raises(CondlabError, match="tampered.ckpt"):
+        exact_conductance(spec, 2, checkpoint_path=str(path))
+    assert cli_main(["cond", "--spec", "pi1", "--n", "2", "--q", "2", "--mode", "exact",
+                     "--checkpoint", str(path)]) == 1
 
 
 def test_checkpoint_rejects_other_specs(tmp_path):

@@ -219,6 +219,6 @@ def test_field_element_validation():
 
 def test_selfcheck_runs_both_modes():
     assert selfcheck(3)["mode"] == "exhaustive"
-    report = selfcheck(9, samples=200)
+    report = selfcheck(9)
     assert report["mode"] == "sampled"
     assert report["ok"]

@@ -453,6 +453,23 @@ def test_table_digest_is_pinned():
         "5ba76db936de9cf50c2280d8e41f853da1848ce637561ccbb55c6af4595d5f52")
 
 
+@pytest.mark.parametrize("spec, digest", [
+    (PermutationSpec.identity(3, 7),
+     "7d47a946d4e55364901eddb7856e74514109bcd5fa14aefad65e6736fdfd25ad"),
+    (PermutationSpec.pi1(3), "e9ff440e5472bd519c59995287c7a11d8e578c891e65df31b3b4496a54255fa9"),
+    (PermutationSpec.pi2(3), "9dab7ebbc21ccaf212348a12b07d1076229178c158b92f4ab1afd2b8bddc8a02"),
+    (PermutationSpec.pi3(3), "23b515aa79705bf03e3a14ea4e10f6ae5df28026f6e1b72ea0cbe27246378d83"),
+    (PermutationSpec.piw(3, 7),
+     "17d7055abf242e325c235dc51bf70aa9c6e24df2a4f101c38a8bc5e34d002aa2"),
+    (PermutationSpec.bothmix(3),
+     "e07293f2aa8e5bdd3d975ab9e47d5559c9c9abad096243a8c40d9b30a6d9e394"),
+    (random_table(3, 3, 3), "3e84af7261db0a47c6b264ed12d8644a8a6131aa2432e77844a724cb9cd4f0ac"),
+], ids=["identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random"])
+def test_spec_digests_are_pinned(spec, digest):
+    # a checkpoint file names its spec by this digest, modulus included
+    assert spec.digest() == digest
+
+
 # --- one packed array per table, and the bulk load of table files ---------------
 
 
@@ -468,6 +485,13 @@ def test_every_table_is_one_packed_array(tmp_path):
         spec.invert_packed(0)
         assert type(spec._inverse) is array and spec._inverse.typecode == "Q"
         assert type(spec.apply_packed(1)) is int and type(spec.invert_packed(1)) is int
+
+
+def test_a_table_over_the_exhaustive_budget_is_refused_at_construction():
+    with pytest.raises(BudgetError) as exc:
+        PermutationSpec.explicit([0], 5, 5)
+    assert str(exc.value) == "a table over a 25-bit domain exceeds the 24-bit budget"
+    assert exc.value.refused == 1 << 25
 
 
 def test_explicit_copies_its_array():
@@ -557,6 +581,17 @@ def test_a_fault_on_the_last_canonical_line_names_it(last, message, tmp_path):
     with pytest.raises(TableFormatError) as exc:
         load_table_file(path)
     assert str(exc.value) == str(want.value) == message and exc.value.line == 9
+
+
+@pytest.mark.parametrize("field", ["0x1", "+02", "1_2", "-01", "0X1"])
+def test_the_line_walk_reads_hex_digits_only(field, tmp_path):
+    lines = [f"{PermutationSpec.pi1(3).apply_packed(x):03x}" for x in range(512)]
+    lines[5] = f" {field}\r"
+    path = tmp_path / "t.tbl"
+    path.write_text("condlab-table v1 n=3 w=3\n" + "\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError) as exc:
+        load_table_file(path)
+    assert str(exc.value) == f"line 7: not a hex value: {field!r}"
 
 
 @pytest.mark.parametrize("bits, body", [
