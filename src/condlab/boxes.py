@@ -311,22 +311,22 @@ def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
 def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
     """The exact image point set of a box under a permutation spec.
 
-    The spec is evaluated once per combination of the sides outside its
-    ``free_words``, with those words 0; since it carries the free words
-    additively, XOR-ing each result with every combination of the free
-    sides gives the rest (a kind with no free words is evaluated at every
-    point and XOR-ed with nothing). Raises NotAPermutationError, with the
-    two box inputs as ``witness``, when the spec maps two points of the
-    box to one output: the first repeat in ascending input order."""
+    The spec is evaluated once per combination of its ``read_words``
+    sides, with its ``free_words`` 0 (the spec stores both); since it
+    carries the free words additively, XOR-ing each result with every
+    combination of the free sides gives the rest (a kind with no free
+    words is evaluated at every point and XOR-ed with nothing). Raises
+    NotAPermutationError, with the two box inputs as ``witness``, when
+    the spec maps two points of the box to one output: the first repeat
+    in ascending input order."""
     if box.n != spec.n or box.w != spec.w:
         raise ShapeError(
             f"box shape (n={box.n}, w={box.w}) does not match spec "
             f"(n={spec.n}, w={spec.w})"
         )
     check_point_count(box.q, box.w)
-    free = spec.free_words
-    bases = xor_sides([0], box, [i for i in range(box.w) if i not in free])
-    outputs = xor_sides(list(map(spec.apply_packed, bases)), box, free)
+    bases = xor_sides([0], box, spec.read_words)
+    outputs = xor_sides(list(map(spec.apply_packed, bases)), box, spec.free_words)
     try:
         return PointSet(outputs, box.n, box.w)
     except ShapeError:

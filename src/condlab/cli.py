@@ -165,7 +165,7 @@ def _write_json(path, payload: dict):
 
 def _parse_point(text: str, n: int, w: int) -> WordVector:
     try:
-        words = tuple(int(t, 16) for t in text.split(","))
+        words = tuple(map(parse_hex, text.split(",")))
     except ValueError:
         words = ()
     if len(words) != w:

@@ -21,15 +21,16 @@ Named constructions (w = 3 unless noted):
 
 Arithmetic is GF(2^n) under the pinned default modulus of the degree.
 
-Each algebraic map is written once, in ``_forward``, for one point and
-for a block alike. Beside it, ``_free_words`` declares the words each
-kind carries additively (``PermutationSpec.free_words``): words that no
-product reads, so ``f(x ^ m) == f(x) ^ m`` for every m held only in
-them. pi1 frees word 2, pi2 word 1, piw word 3k+2 of each block and its
-trailing words, identity every word, and the other kinds none. A box
-image uses this: the map is evaluated once per combination of the
-box's other sides, with the free words 0, and each result is XOR-ed
-with every combination of the free sides.
+identity, pi1, pi2 and piw are shears, declared once in ``_shears`` as
+one ``(moved, factor, factor)`` word triple per product XOR-ed in, no
+product reading a word that one moves. A spec stores their bit shifts,
+which ``_forward`` runs in one loop, and its ``free_words``: the words
+no product reads (every word of identity, none of pi3, bothmix or a
+table), which the map carries additively, ``f(x ^ m) == f(x) ^ m`` for
+every m held only in them. A box image evaluates the map once per
+combination of the other sides (``read_words``) and XORs in every
+combination of the free sides. pi3 and bothmix keep their expressions
+in ``_forward``; each expression serves one point and a numpy block.
 
 Single points go through ``apply_packed``, in pure Python. The passes
 over the whole domain (``verify_bijective``, ``write_table_file``, the
@@ -141,6 +142,9 @@ class PermutationSpec:
     seed: int | None = None
     table: array | None = None
     _inverse: array | None = field(default=None, init=False, repr=False, compare=False)
+    _shifts: tuple | None = field(init=False, repr=False, compare=False)
+    free_words: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    read_words: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -164,6 +168,12 @@ class PermutationSpec:
             self.table = _packed_table(self.table, self.domain_bits)
         elif self.table is not None:
             raise ValueError(f"{self.kind} spec does not take a table")
+        shears = _shears(self.kind, self.w)
+        read = range(self.w) if shears is None else {i for s in shears for i in s[1:]}
+        self.free_words = tuple(i for i in range(self.w) if i not in read)
+        self.read_words = tuple(sorted(read))
+        self._shifts = None if shears is None else tuple(
+            tuple(self.n * (self.w - 1 - i) for i in s) for s in shears)
 
     @property
     def domain_bits(self) -> int:
@@ -174,12 +184,6 @@ class PermutationSpec:
         """True when the construction's guarantees assume a prime n that
         the current degree does not satisfy."""
         return self.kind in _PRIME_SENSITIVE and not is_prime(self.n)
-
-    @property
-    def free_words(self) -> tuple[int, ...]:
-        """The words the map carries additively, ascending: ``f(x ^ m) ==
-        f(x) ^ m`` for every m held only in them (:func:`_free_words`)."""
-        return _free_words(self)
 
     def digest(self) -> str:
         """Stable content digest used by checkpoint files. A table is
@@ -240,9 +244,10 @@ class PermutationSpec:
 
     def invert_packed(self, y: int) -> int:
         """Preimage of a packed point. pi1/pi2/pi3/piw are their own
-        inverses because subtraction is addition in characteristic 2;
-        bothmix is inverted separately and has no inverse on its a = 1
-        plane."""
+        inverses: no product reads the word it moves (pi3: in neither
+        branch, and both keep the selector word a), so a second pass XORs
+        the products back out. bothmix is inverted separately and has no
+        inverse on its a = 1 plane."""
         kind = self.kind
         if kind == "identity":
             return y
@@ -305,26 +310,35 @@ class PermutationSpec:
             )
 
 
+def _shears(kind: str, w: int) -> tuple[tuple[int, int, int], ...] | None:
+    """The products a shear kind XORs in, one ``(moved word, factor word,
+    factor word)`` triple each, no product reading a word that one moves;
+    None for pi3 and bothmix, whose products read every word, and for
+    the tables."""
+    if kind == "identity":
+        return ()
+    if kind == "pi1":
+        return ((2, 0, 1),)
+    if kind == "pi2":
+        return ((1, 0, 2),)
+    if kind == "piw":  # pi1 on each aligned block; trailing words pass
+        return tuple((i + 2, i, i + 1) for i in range(0, w - w % 3, 3))
+    return None
+
+
 def _forward(spec: PermutationSpec, x, mul, p):
     """The forward map of an algebraic kind on ``x``: one packed point as
     an int, or a numpy uint64 array of them. Words are read by shift and
     mask, and each product ``mul(a, b, p)`` is XOR-ed into its word's
     place; the same expressions serve both operand types."""
-    n, kind = spec.n, spec.kind
+    n, shifts = spec.n, spec._shifts
     mask = (1 << n) - 1
-    if kind == "piw":
-        w = spec.w
-        for i in range(0, w - w % 3, 3):
-            lo = n * (w - 3 - i)  # shift of word i + 2, the block's last
-            a, b = (x >> (lo + 2 * n)) & mask, (x >> (lo + n)) & mask
-            x ^= mul(a, b, p) << lo
+    if shifts is not None:
+        for moved, a, b in shifts:
+            x ^= mul((x >> a) & mask, (x >> b) & mask, p) << moved
         return x
     a, b, c = x >> (2 * n), (x >> n) & mask, x & mask
-    if kind == "pi1":
-        return x ^ mul(a, b, p)
-    if kind == "pi2":
-        return x ^ (mul(a, c, p) << n)
-    if kind == "pi3":
+    if spec.kind == "pi3":
         # the low bit of a picks the rule: a*b into word 2 (pi1) when it
         # is 0, a*c into word 1 (pi2) when it is 1, without a branch
         odd = a & 1
@@ -332,24 +346,6 @@ def _forward(spec: PermutationSpec, x, mul, p):
     # bothmix, (a, b, c) -> (a, a*b + c, a*c + b): word 1 gains a*b + b + c
     # and word 2 gains a*c + b + c
     return x ^ ((mul(a, b, p) ^ b ^ c) << n) ^ mul(a, c, p) ^ b ^ c
-
-
-def _free_words(spec: PermutationSpec) -> tuple[int, ...]:
-    """The words of ``spec`` that :func:`_forward` only XORs a product
-    into and never reads, and the words it passes through: the map is
-    ``x ^ g(x)`` with g blind to them, so ``f(x ^ m) == f(x) ^ m`` for m
-    held in them. pi3 and bothmix read every word (pi3 moves word 1 or 2
-    by the low bit of a), and a table is opaque."""
-    kind, w = spec.kind, spec.w
-    if kind == "identity":
-        return tuple(range(w))
-    if kind == "pi1":
-        return (2,)
-    if kind == "pi2":
-        return (1,)
-    if kind == "piw":
-        return tuple(i for i in range(w) if i % 3 == 2 or i >= w - w % 3)
-    return ()
 
 
 def _big_endian_entries(table: array, width: int) -> bytearray:
@@ -451,7 +447,10 @@ def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET
 
 # --- whole-domain passes (numpy, imported per call; see the module docstring)
 
-_BLOCK = 1 << 18  # inputs per block of a whole-domain pass
+# inputs per block of a whole-domain pass: its uint64 arrays are 128 KiB,
+# small enough that the C allocator hands a block's temporaries on to the
+# next block instead of mapping them afresh, a page fault per 4 KiB page
+_BLOCK = 1 << 14
 
 
 def _block_evaluator(spec: PermutationSpec):
@@ -538,15 +537,14 @@ def parse_hex(text: str) -> int:
 
 def parse_header(header: str, magic: str, names) -> list[int]:
     """The values of a ``<magic> v1 <name>=<value> ...`` header in the order
-    of ``names``: positive ints, the first (n) at most 64, else a
-    TableFormatError on line 1."""
+    of ``names``: positive ints in the ASCII digits 0-9 (``int()`` also
+    takes a sign, ``_`` and non-ASCII digits), the first (n) at most 64,
+    else a TableFormatError on line 1."""
     parts = header.split()
     if len(parts) != 2 + len(names) or parts[:2] != [magic, "v1"]:
         raise TableFormatError(f"bad header {header!r}", line=1)
-    try:
-        values = [int(part.removeprefix(f"{name}=")) for part, name in zip(parts[2:], names)]
-    except ValueError:
-        values = [0]
+    fields = [part.removeprefix(f"{name}=") for part, name in zip(parts[2:], names)]
+    values = [int(f) if f.isascii() and f.isdigit() else 0 for f in fields]
     if min(values) < 1 or values[0] > MAX_DEGREE:
         raise TableFormatError(f"bad header fields in {header!r}", line=1)
     return values

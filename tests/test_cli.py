@@ -37,6 +37,20 @@ def test_perm_eval_invert_round_trip(capsys):
     assert capsys.readouterr().out.strip() == "5,3,6"
 
 
+@pytest.mark.parametrize("word", ["0x1", "+2", "1_0", "\u0661", ""])
+def test_point_words_read_hex_digits_only(word, capsys):
+    for command in ("eval", "invert"):
+        assert run("perm", command, "--spec", "pi1", "--n", "4",
+                   "--point", f"1,{word},3") == 1
+        assert capsys.readouterr().err == "error: point needs 3 comma-separated hex words\n"
+
+
+def test_point_words_take_either_case(capsys):
+    for point in ("A,b,3", "a,B,3"):
+        assert run("perm", "eval", "--spec", "pi1", "--n", "4", "--point", point) == 0
+        assert capsys.readouterr().out == "a,b,1\n"
+
+
 def test_perm_export_table_round_trip(tmp_path, capsys):
     path = tmp_path / "perm.tbl"
     assert run("perm", "export-table", "--spec", "random", "--seed", "9",
@@ -273,7 +287,8 @@ DECOMPOSE_PI1 = ("decompose", "--spec", "pi1", "--n", "2", "--q", "2",
 
 @pytest.mark.parametrize("fields", ["n=-1 w=3 q=1", "n=0 w=3 q=2", "n=2 w=0 q=2",
                                     "n=2 w=3 q=0", "n=65 w=1 q=1", f"n={10 ** 30} w=1 q=1",
-                                    "n=x w=3 q=2", "w=3 n=2 q=2"])
+                                    "n=x w=3 q=2", "w=3 n=2 q=2", "n=+2 w=0_3 q=2",
+                                    "n=\u0662 w=3 q=2"])
 def test_box_headers_need_positive_fields_and_n_at_most_64(fields, tmp_path, capsys):
     path = tmp_path / "box.txt"
     path.write_text(f"condlab-box v1 {fields}\n0\n")

@@ -267,6 +267,16 @@ def test_table_file_header_and_line_errors(tmp_path):
     assert exc.value.line == 3  # out-of-range value on line 3
 
 
+@pytest.mark.parametrize("fields", ["n=+1 w=0_1", "n=\u0661 w=1", "n=1 w=\uff11", "n= w=1"])
+def test_table_headers_read_ascii_digits_only(fields, tmp_path):
+    path = tmp_path / "t.tbl"
+    path.write_text(f"condlab-table v1 {fields}\n1\n0\n", encoding="utf-8")
+    with pytest.raises(TableFormatError) as exc:
+        load_table_file(path)
+    header = f"condlab-table v1 {fields}"
+    assert (str(exc.value), exc.value.line) == (f"line 1: bad header fields in {header!r}", 1)
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         PermutationSpec("pi1", 2, 4)
@@ -426,6 +436,31 @@ def test_free_words_of_each_kind():
     assert PermutationSpec.piw(5, 9).free_words == (2, 5, 8)
     for spec in (PermutationSpec.pi3(5), PermutationSpec.bothmix(5), random_table(1, 2, 2)):
         assert spec.free_words == ()
+
+
+SHEAR_SPECS = [spec for n in (2, 5) for spec in (
+    [PermutationSpec.identity(n, w) for w in range(1, 5)]
+    + [PermutationSpec.pi1(n), PermutationSpec.pi2(n)]
+    + [PermutationSpec.piw(n, w) for w in range(3, 9)])]
+
+
+@pytest.mark.parametrize("spec", SHEAR_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_shear_declaration_moves_no_word_a_product_reads(spec):
+    shears = perms._shears(spec.kind, spec.w)
+    moved = [m for m, _, _ in shears]
+    factors = {i for _, a, b in shears for i in (a, b)}
+    assert len(set(moved)) == len(moved)
+    assert not factors & set(moved)
+    assert spec.read_words == tuple(sorted(factors))
+    assert spec.free_words == tuple(i for i in range(spec.w) if i not in factors)
+    assert sorted(spec.free_words + spec.read_words) == list(range(spec.w))
+
+
+def test_non_shears_have_no_free_words():
+    for spec in (PermutationSpec.pi3(5), PermutationSpec.bothmix(5), random_table(1, 2, 2),
+                 PermutationSpec.explicit(range(8), 1, 3)):
+        assert perms._shears(spec.kind, spec.w) is None
+        assert (spec.free_words, spec.read_words) == ((), tuple(range(spec.w)))
 
 
 def _per_entry_digest(spec):
