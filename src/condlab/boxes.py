@@ -168,9 +168,33 @@ def combination_rank(combo, universe: int) -> int:
 
 
 def combination_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
+    """The combination of lexicographic ``rank`` among the k-subsets of
+    range(universe). The values are walked upward, and the count of the
+    remaining combinations whose next value is v, C(universe - v - 1,
+    left - 1), is updated by exact integer ratios: at most ``universe``
+    steps. Past universe = k^2 the values are sparse and each is found by
+    a binary search over C(universe - u, left) instead."""
     total = comb(universe, k)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for C({universe},{k})")
+    if universe > k * k:
+        return _sparse_unrank(rank, universe, k)
+    out = []
+    v = 0
+    count = total * k // universe if k else 0  # C(universe - 1, k - 1)
+    for left in range(k, 0, -1):
+        while rank >= count:
+            rank -= count
+            count = count * (universe - v - left) // (universe - v - 1)
+            v += 1
+        out.append(v)
+        if left > 1:
+            count = count * (left - 1) // (universe - v - 1)
+        v += 1
+    return tuple(out)
+
+
+def _sparse_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     out = []
     v = 0
     for left in range(k, 0, -1):
@@ -388,10 +412,12 @@ def greedy_box(points: PointSet, q: int) -> tuple[QBox, int]:
                     by_value = slices(inside, n, w, j)
                     inside = [p for v in sides[j] for p in by_value.get(v, ())]
             sizes = {v: len(ps) for v, ps in sorted(slices(inside, n, w, i).items())}
-            swap = next(((v_out, v_in) for v_out in side for v_in in sizes
-                         if v_in not in side and sizes[v_in] > sizes.get(v_out, 0)), None)
+            chosen = set(side)
+            outside = [v for v in sizes if v not in chosen]
+            swap = next(((v_out, v_in) for v_out in side for v_in in outside
+                         if sizes[v_in] > sizes.get(v_out, 0)), None)
             if swap:
-                sides[i] = tuple(sorted(set(side) - {swap[0]} | {swap[1]}))
+                sides[i] = tuple(sorted(chosen - {swap[0]} | {swap[1]}))
                 break
         else:
             break  # no side has an improving swap

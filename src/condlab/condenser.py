@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -205,6 +206,16 @@ def keep_exponent(alpha_n: float, w: int, eps2: float) -> float:
     return alpha_n * (w - eps2)
 
 
+def _check_parameters(alpha_n: float, w: int, eps1: float, eps2: float) -> None:
+    """RangeError unless eps1, eps2 and alpha_n are nonnegative (not nan) and
+    the box size 2^(alpha_n*w) lies in the float range."""
+    if not (eps1 >= 0 and eps2 >= 0):
+        raise RangeError(f"eps1 and eps2 must be nonnegative, got {eps1}, {eps2}")
+    if not alpha_n >= 0 or math.isinf(side_size(alpha_n * w)):
+        raise RangeError(f"alpha_n must be nonnegative with a box size 2^(alpha_n*w) in "
+                         f"the float range, got alpha_n={alpha_n}, w={w}")
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Partition of a point set into per-coordinate parts and residuals.
@@ -230,11 +241,7 @@ class Decomposition:
     slice_log: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (self.eps1 >= 0 and self.eps2 >= 0):
-            raise RangeError(f"eps1 and eps2 must be nonnegative, got {self.eps1}, {self.eps2}")
-        if not self.alpha_n >= 0 or math.isinf(side_size(self.alpha_n * self.w)):
-            raise RangeError(f"alpha_n must be nonnegative with a box size 2^(alpha_n*w) in "
-                             f"the float range, got alpha_n={self.alpha_n}, w={self.w}")
+        _check_parameters(self.alpha_n, self.w, self.eps1, self.eps2)
 
     @property
     def q(self) -> int | float:
@@ -334,52 +341,64 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
     each pile as a part only when it clears the keeping threshold; small
     piles are swept into R1 and the uncut remainder is R0. Terminates in
     at most |points| cuts since every cut removes at least one point.
+    Bad alpha_n, eps1 or eps2 are refused before any slicing.
 
-    Slices only shrink and :func:`size_below` is monotone in the size, so
-    a slice stays below the cut threshold from the cut that first brings
-    it there until it empties. Each coordinate keeps a min-heap of its
-    qualifying values, fed when a slice crosses the threshold; entries of
-    emptied slices are dropped when they surface. With N points and V
-    values per coordinate the loop costs O(N*w + cuts*log V).
+    :func:`size_below` is monotone in the size, so the threshold is one
+    integer ``limit``, the smallest size not below 2^cut_exponent, found
+    by bisection: a slice qualifies when 0 < size < limit. The slices of
+    each coordinate are grouped once; the loop keeps one integer size per
+    slice and one set of uncut points. A cut takes the uncut members of
+    its slice (still ascending), zeroes that slice's size and subtracts
+    the cut's group sizes from the slices of every other coordinate.
+    Slices only shrink, so a slice stays below the threshold from the cut
+    that first brings it there until it empties. Each coordinate keeps a
+    min-heap of its qualifying values, fed when a size crosses below
+    ``limit``; emptied values are dropped when they surface. With N points
+    and V values per coordinate the loop costs O(N*w + cuts*log V) and
+    holds the N points once in slices and once in the uncut set.
     """
     if len(points) == 0:
         raise ShapeError("cannot decompose an empty point set")
     n, w = points.n, points.w
+    _check_parameters(alpha_n, w, eps1, eps2)
     cut_e = cut_exponent(alpha_n, w, eps1, eps2)
     keep_e = keep_exponent(alpha_n, w, eps2)
+    limit = 1 + bisect_left(range(1, len(points) + 1), True,
+                            key=lambda size: not size_below(size, cut_e))
 
-    groups = [{y: set(ps) for y, ps in slices(points.points, n, w, i).items()}
-              for i in range(w)]
+    groups = [slices(points.points, n, w, i) for i in range(w)]
+    sizes = [{y: len(ps) for y, ps in g.items()} for g in groups]
     # an ascending list is already a heap
-    ready = [sorted(y for y, bucket in g.items() if size_below(len(bucket), cut_e))
-             for g in groups]
+    ready = [sorted(y for y, size in counts.items() if size < limit) for counts in sizes]
+    uncut = set(points.points)
 
     piles = [[] for _ in range(w)]
     log = []
     while True:
         for i in range(w):
-            heap = ready[i]
-            while heap and heap[0] not in groups[i]:
+            heap, size_i = ready[i], sizes[i]
+            while heap and not size_i[heap[0]]:
                 heapq.heappop(heap)
             if heap:
                 break
         else:
             break
         y = heapq.heappop(heap)
-        cut = sorted(groups[i][y])
+        cut = [p for p in groups[i][y] if p in uncut]
+        uncut.difference_update(cut)
+        size_i[y] = 0
         log.append((len(log) + 1, i, y, len(cut)))
         piles[i].extend(cut)
         for j in range(w):
+            if j == i:
+                continue
+            size_j = sizes[j]
             for v, gone in slices(cut, n, w, j).items():
-                bucket = groups[j][v]
-                was_below = size_below(len(bucket), cut_e)
-                bucket.difference_update(gone)
-                if not bucket:
-                    del groups[j][v]
-                elif not was_below and size_below(len(bucket), cut_e):
+                before = size_j[v]
+                size_j[v] = after = before - len(gone)
+                if 0 < after < limit <= before:
                     heapq.heappush(ready[j], v)
 
-    remaining = sorted(p for bucket in groups[0].values() for p in bucket)
     r1 = []
     parts = []
     for i in range(w):
@@ -391,7 +410,7 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
 
     return Decomposition(
         parts=tuple(parts),
-        r0=PointSet(remaining, n, w),
+        r0=PointSet(uncut, n, w),
         r1=PointSet(r1, n, w),
         n=n,
         w=w,

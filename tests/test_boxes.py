@@ -74,6 +74,43 @@ def test_combination_rank_unrank_round_trip():
         assert combination_rank(combination_unrank(rank, universe, 4), universe) == rank
 
 
+def _search_unrank(rank, universe, k):
+    """Unrank by a binary search per value over C(universe - u, left)."""
+    out = []
+    v = 0
+    for left in range(k, 0, -1):
+        tail = comb(universe - v, left)
+        lo, hi = v, universe - left
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if tail - comb(universe - mid, left) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= tail - comb(universe - lo, left)
+        out.append(lo)
+        v = lo + 1
+    return tuple(out)
+
+
+def test_unrank_equals_the_search_over_every_rank_and_seeded_ranks_to_40():
+    # k*k >= universe walks the values, sparser shapes search: both run here
+    for universe in range(11):
+        for k in range(universe + 1):
+            combos = itertools.combinations(range(universe), k)
+            for rank, combo in enumerate(combos):
+                assert combination_unrank(rank, universe, k) == combo
+                assert _search_unrank(rank, universe, k) == combo
+    rng = random.Random(40)
+    for universe in range(11, 41):
+        for k in range(universe + 1):
+            total = comb(universe, k)
+            for rank in {0, total - 1, *(rng.randrange(total) for _ in range(8))}:
+                assert combination_unrank(rank, universe, k) == _search_unrank(rank, universe, k)
+    with pytest.raises(ValueError):
+        combination_unrank(comb(40, 20), 40, 20)
+
+
 def test_global_rank_round_trip_and_range_enumeration():
     # a box's global rank is mixed-radix over its per-side combination
     # ranks: the digits a checkpoint cursor holds

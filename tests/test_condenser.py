@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condlab import conductance
-from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box
+from condlab import condenser, conductance
+from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box, random_box
 from condlab.condenser import (
     Decomposition,
     FiniteDistribution,
     coordinate_min_entropy,
+    cut_exponent,
     decompose,
     empirical_condenser_profile,
     flat_decomposition_check,
@@ -280,6 +281,69 @@ def test_decompose_matches_reference_trace_on_random_sets(eps):
             returns += any(b[1] < a[1] for a, b in zip(log, log[1:]))
     # enough cuts, and enough traces that go back to a lower coordinate
     assert cuts > 600 and returns > 30
+
+
+def _sweep_images(rng):
+    """(label, image) pairs with w from 1 to 5: seeded random-table images at
+    every w, pi1 and pi3 images at w=3 and piw images at w=3..5, each with a
+    random subset of it."""
+    shapes = [(random_table(1, 6, 1), 16), (random_table(2, 4, 2), 8),
+              (PermutationSpec.pi1(3), 4), (PermutationSpec.pi3(3), 4),
+              (PermutationSpec.piw(3, 3), 4), (random_table(3, 3, 3), 4),
+              (PermutationSpec.piw(2, 4), 2), (random_table(4, 2, 4), 3),
+              (PermutationSpec.piw(2, 5), 2), (random_table(5, 2, 5), 2)]
+    for spec, q in shapes:
+        for _ in range(3):
+            image = image_of_box(spec, random_box(rng, spec.n, q, spec.w)[1])
+            subset = rng.sample(image.points, rng.randint(1, len(image)))
+            yield f"{spec.kind} w={spec.w}", image
+            yield f"{spec.kind} w={spec.w} subset", PointSet(subset, spec.n, spec.w)
+
+
+def test_decompose_matches_reference_on_seeded_images_and_subsets():
+    cuts = Counter()
+    for alpha_n, eps1, eps2 in ((1.0, 0.25, 0.25), (1.5, 0.25, 0.25), (2.0, 0.5, 0.25),
+                                (2.0, 0.0, 0.0), (3.0, 0.125, 0.375), (1.0, 0.0, 1.0)):
+        for label, ps in _sweep_images(random.Random(15)):
+            # the reference compares against a float power: keep the threshold
+            # an exact power of two or clear of every integer slice size
+            cut_e = cut_exponent(alpha_n, ps.w, eps1, eps2)
+            assert cut_e == int(cut_e) or abs(2 ** cut_e - round(2 ** cut_e)) > 1e-6, label
+            cuts[ps.w] += len(assert_matches_reference(ps, alpha_n, eps1, eps2).slice_log)
+    # at w=1 the threshold 2^(-alpha_n*(eps1+eps2)) is at most 1: nothing is cut
+    assert cuts[1] == 0 and min(cuts[w] for w in range(2, 6)) > 100
+
+
+def test_an_integer_threshold_cuts_one_below_it_and_keeps_one_at_it():
+    # 2^(4*(2-1-0.125-0.125)) = 2^3 = 8: row 0 holds 7 points and is cut,
+    # row 1 holds 8 and is not; every column holds 14 to 16
+    words = [(0, c) for c in range(7)] + [(1, c) for c in range(8)]
+    words += [(r, c) for r in range(2, 16) for c in range(16)]
+    ps = packed_set(words, 4)
+    assert cut_exponent(4.0, 2, 0.125, 0.125) == 3.0
+    dec = assert_matches_reference(ps, 4.0, 0.125, 0.125)
+    assert dec.slice_log == ((1, 0, 0, 7),)
+    assert len(dec.r0) == len(ps) - 7
+
+
+def test_decompose_matches_reference_on_a_512_point_pi1_image():
+    spec = PermutationSpec.pi1(5)
+    image = image_of_box(spec, random_box(random.Random(512), 5, 8, 3)[1])
+    assert len(image) == 512
+    dec = assert_matches_reference(image, 3.0, 0.25, 0.25)
+    assert len(dec.slice_log) > 10
+
+
+def test_bad_parameters_are_refused_before_any_slicing(monkeypatch):
+    def no_slicing(*args):
+        raise AssertionError("sliced before the parameters were checked")
+
+    monkeypatch.setattr(condenser, "slices", no_slicing)
+    ps = PointSet(range(8), 1, 3)
+    for alpha_n, eps1, eps2 in ((math.nan, 0.25, 0.25), (400.0, 0.25, 0.25),
+                                (-1.0, 0.25, 0.25), (1.0, -0.25, 0.25), (1.0, 0.25, -0.5)):
+        with pytest.raises(RangeError):
+            decompose(ps, alpha_n, eps1, eps2)
 
 
 def packed_set(words, n):

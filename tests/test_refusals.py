@@ -60,6 +60,15 @@ def test_refusal_exits_2_in_seconds_with_one_line(argv, printable):
     assert proc.stdout == ""
 
 
+def test_a_printable_dense_draw_finishes_in_seconds():
+    # C(8192, 4096) has 2,464 digits, under the refusal limit: the draw and
+    # the greedy box over its 4,096-point image both finish under the timeout
+    proc = condlab("cond", "--spec", "identity", "--n", "13", "--w", "1", "--q", "4096",
+                   "--mode", "heuristic", "--budget", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "condd=1 mode=heuristic witnesses=yes\n"
+
+
 def test_a_profile_of_no_trials_draws_no_box():
     proc = condlab("condenser-profile", *PI1_HUGE_Q, *EPS, "--trials", "0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "trials=0\n", "")
