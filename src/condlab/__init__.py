@@ -12,7 +12,6 @@ from .boxes import (
     box_count,
     combination_rank,
     combination_unrank,
-    covering_box,
     enumerate_qboxes,
     enumerate_qboxes_range,
     greedy_box,
@@ -35,13 +34,9 @@ from .condenser import (
     CondenserProfile,
     ConverseReport,
     Decomposition,
-    FiniteDistribution,
-    FlatDecomposition,
     coordinate_min_entropy,
     decompose,
     empirical_condenser_profile,
-    flat_decomposition_check,
-    min_entropy,
     verify_converse_bounds,
 )
 from .errors import (
@@ -52,7 +47,6 @@ from .errors import (
     RangeError,
     ShapeError,
     TableFormatError,
-    UndefinedEntropyError,
     UnsupportedDegreeError,
 )
 from .gf2n import (

@@ -379,21 +379,6 @@ def intersection_count(points: PointSet, box: QBox) -> int:
     return len(pts)
 
 
-def covering_box(points: PointSet, q: int) -> QBox:
-    """A q-box containing the first min(q, |points|) points.
-
-    Constructive witness that some box always catches at least q points
-    of a q^w-point image: sides collect the chosen points' coordinates
-    and are padded with the smallest unused values up to size q.
-    """
-    _check_box_params(points.n, q, points.w)
-    if not points:
-        raise ShapeError("cannot build a covering box for an empty set")
-    n, w = points.n, points.w
-    chosen = points.points[:q]
-    return QBox(tuple(pad_side(slices(chosen, n, w, i), q) for i in range(w)), n)
-
-
 def greedy_box(points: PointSet, q: int) -> tuple[QBox, int]:
     """Greedy dense q-box for a point set: each coordinate's
     :func:`fattest_side`, then first-improvement 1-swaps until no single

@@ -1,4 +1,4 @@
-"""Min-entropy tools and the thin-slice partitioning of permutation images.
+"""Thin-slice partitioning of permutation images and its min-entropy checks.
 
 The partitioning procedure takes a point set S inside ({0,1}^n)^w and
 repeatedly cuts out *bottleneck slices*: nonempty axis-aligned slices
@@ -30,120 +30,11 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .boxes import PointSet, _check_box_params, image_of_box, random_box, slices
 from .conductance import best_V_for_U
-from .errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
+from .errors import BudgetError, RangeError, ShapeError
 from .perms import PermutationSpec
-
-PROBABILITY_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """A probability distribution with finite, explicit support.
-
-    Keys must be hashable and mutually orderable (ints, tuples, ...).
-    """
-
-    probs: dict
-
-    def __post_init__(self):
-        for x, p in self.probs.items():
-            if p < 0:
-                raise RangeError(f"negative probability {p} at {x!r}")
-        if self.probs:
-            total = sum(self.probs.values())
-            if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-                raise RangeError(f"probabilities sum to {total}, not 1")
-
-    @classmethod
-    def uniform_on(cls, outcomes) -> "FiniteDistribution":
-        outcomes = list(outcomes)
-        if not outcomes:
-            raise UndefinedEntropyError("uniform distribution needs outcomes")
-        p = 1.0 / len(outcomes)
-        return cls({x: p for x in outcomes})
-
-    @property
-    def support(self):
-        return [x for x, p in self.probs.items() if p > 0]
-
-
-def min_entropy(dist: FiniteDistribution) -> float:
-    """-log2 of the largest point probability."""
-    probs = [p for p in dist.probs.values() if p > 0]
-    if not probs:
-        raise UndefinedEntropyError("min-entropy of an empty distribution")
-    return -math.log2(max(probs))
-
-
-@dataclass(frozen=True)
-class FlatDecomposition:
-    """Outcome of the flat-peeling construction.
-
-    ``terms`` is a list of (weight, atoms) pairs; each atoms tuple has
-    exactly 2^k outcomes and the weights are exact rationals summing to 1
-    when ``ok``. ``residual_norm`` is the mass left unexplained.
-    """
-
-    ok: bool
-    k: int
-    terms: tuple
-    residual_norm: float
-    reason: str | None = None
-
-
-def flat_decomposition_check(dist: FiniteDistribution, k: int) -> FlatDecomposition:
-    """Certify that min-entropy >= k admits a convex combination of
-    uniform distributions on size-2^k sets, by constructing one.
-
-    Peels greedily: take the 2^k heaviest atoms (ties toward the smaller
-    key), subtract the largest uniform chunk that keeps the residual
-    inside the max-probability polytope, repeat. Runs on exact rationals,
-    so accepted inputs always finish with a zero residual. A distribution
-    with min-entropy below k yields ``ok=False`` rather than an error.
-    """
-    if k < 0:
-        raise RangeError(f"k must be nonnegative, got {k}")
-    if not dist.probs:
-        raise UndefinedEntropyError("empty distribution")
-    size = 1 << k
-    residual = {x: Fraction(p) for x, p in dist.probs.items() if p > 0}
-    norm = sum(residual.values())
-    if max(residual.values()) * size > norm:
-        return FlatDecomposition(
-            ok=False,
-            k=k,
-            terms=(),
-            residual_norm=float(norm),
-            reason=f"min-entropy below {k}: some atom exceeds 2**-{k}",
-        )
-
-    terms = []
-    guard = len(residual) + size + 8
-    for _ in range(guard):
-        if norm == 0:
-            break
-        order = sorted(residual, key=lambda x: (-residual[x], x))
-        top, rest = order[:size], order[size:]
-        mu = size * residual[top[-1]]
-        if rest:
-            mu = min(mu, norm - size * residual[rest[0]])
-        share = Fraction(mu, size)
-        for x in top:
-            residual[x] -= share
-            if residual[x] == 0:
-                del residual[x]
-        norm -= mu
-        terms.append((mu, tuple(sorted(top))))
-    else:
-        raise AssertionError("flat peeling failed to terminate")
-
-    return FlatDecomposition(
-        ok=True, k=k, terms=tuple(terms), residual_norm=float(norm)
-    )
 
 
 # --- exact integer-versus-2^exponent comparisons ---------------------------

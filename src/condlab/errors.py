@@ -59,10 +59,6 @@ class RangeError(CondlabError):
     """A numeric argument lies outside its documented range."""
 
 
-class UndefinedEntropyError(CondlabError):
-    """Min-entropy of an empty distribution was requested."""
-
-
 class TableFormatError(CondlabError):
     """A table or box file failed to parse; ``line`` is 1-based."""
 

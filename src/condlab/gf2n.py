@@ -70,14 +70,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check (parameters here stay tiny)."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def is_irreducible(poly: int) -> bool:

@@ -15,7 +15,6 @@ from condlab.boxes import (
     box_count,
     combination_rank,
     combination_unrank,
-    covering_box,
     digits_to_rank,
     enumerate_qboxes,
     enumerate_qboxes_range,
@@ -278,28 +277,6 @@ def test_intersection_bounds_property(seed):
     sides = tuple(tuple(sorted(rng.sample(range(4), 2))) for _ in range(3))
     count = intersection_count(ps, QBox(sides, 2))
     assert 0 <= count <= min(size, 8)
-
-
-def test_covering_box_always_catches_q_points():
-    # some box always catches >= q image points; the covering builder is
-    # the constructive proof, checked here over every box
-    spec = PermutationSpec.pi1(2)
-    for box in enumerate_qboxes(2, 2, 3):
-        img = image_of_box(spec, box)
-        cover = covering_box(img, 2)
-        assert intersection_count(img, cover) >= 2
-    spec = random_table(3, 2, 2)
-    for box in enumerate_qboxes(2, 3, 2):
-        img = image_of_box(spec, box)
-        cover = covering_box(img, 3)
-        assert intersection_count(img, cover) >= 3
-
-
-def test_covering_box_single_point():
-    ps = PointSet([pack_words((2, 1), 2)], 2, 2)
-    cover = covering_box(ps, 1)
-    assert cover.sides == ((2,), (1,))
-    assert intersection_count(ps, cover) == 1
 
 
 def test_greedy_box_recovers_a_box_image_exactly():

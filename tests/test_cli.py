@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report files, determinism, parse errors."""
 
+import hashlib
 import json
 
 import pytest
@@ -329,6 +330,21 @@ def test_condenser_profile_cli(tmp_path, capsys):
                "--q", "2", "--eps1", "0.25", "--eps2", "0.25",
                "--trials", "0", "--seed", "3") == 0
     assert "trials=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("decompose", "--spec", "pi1", "--n", "5", "--q", "4", "--eps1", "0.25",
+      "--eps2", "0.25", "--eps3", "0.1", "--trials", "2", "--box-seed", "1"),
+     "bece0389c13db0c3a73112b5563b44b0e130813d0eb859a92e38b71a97244c7c"),
+    # this shape keeps parts and meets its targets
+    (("condenser-profile", "--spec", "pi1", "--n", "5", "--q", "8", "--eps1", "0.25",
+      "--eps2", "0.25", "--trials", "4", "--seed", "2"),
+     "e9849e3bf4222d9447640945e6c99e0720359ba007b6a9b94338c6f606038dfb"),
+])
+def test_condenser_reports_keep_their_bytes(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_bounds_cli(capsys):

@@ -1,4 +1,4 @@
-"""Min-entropy, flat peeling, slice cutting, and residual bound tests."""
+"""Slice cutting, coordinate min-entropy, and residual bound tests."""
 
 import itertools
 import json
@@ -8,30 +8,24 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condlab import condenser, conductance
 from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box, random_box
 from condlab.condenser import (
     Decomposition,
-    FiniteDistribution,
     coordinate_min_entropy,
     cut_exponent,
     decompose,
     empirical_condenser_profile,
-    flat_decomposition_check,
-    min_entropy,
     side_size,
     size_above,
     size_below,
     verify_converse_bounds,
 )
-from condlab.errors import BudgetError, RangeError, ShapeError, UndefinedEntropyError
+from condlab.errors import BudgetError, RangeError, ShapeError
 from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
 
 
@@ -75,95 +69,6 @@ def reference_decompose(points, n, w, alpha_n, eps1, eps2):
             r1 |= piles[i]
             parts.append(set())
     return parts, r0, r1, log
-
-
-# --- distributions -------------------------------------------------------------
-
-
-def test_min_entropy_examples():
-    assert min_entropy(FiniteDistribution.uniform_on(range(16))) == 4.0
-    assert min_entropy(FiniteDistribution({"x": 1.0})) == 0.0
-    assert min_entropy(FiniteDistribution({"a": 0.5, "b": 0.25, "c": 0.25})) == 1.0
-
-
-def test_min_entropy_errors():
-    with pytest.raises(UndefinedEntropyError):
-        min_entropy(FiniteDistribution({}))
-    with pytest.raises(RangeError):
-        FiniteDistribution({"a": -0.1, "b": 1.1})
-    with pytest.raises(RangeError):
-        FiniteDistribution({"a": 0.7})
-
-
-def test_min_entropy_of_uniform_is_log_cardinality():
-    for size in (1, 2, 3, 7, 32):
-        points = PointSet(random.Random(size).sample(range(64), size), 2, 3)
-        dist = FiniteDistribution.uniform_on(points.points)
-        assert min_entropy(dist) == pytest.approx(math.log2(size))
-
-
-# --- flat peeling ----------------------------------------------------------------
-
-
-def test_flat_input_is_a_single_term():
-    dist = FiniteDistribution.uniform_on(range(4))
-    result = flat_decomposition_check(dist, 2)
-    assert result.ok
-    assert result.terms == ((Fraction(1), (0, 1, 2, 3)),)
-    assert result.residual_norm == 0.0
-
-
-def test_uniform_on_twice_the_support_decomposes_exactly():
-    dist = FiniteDistribution.uniform_on(range(8))
-    result = flat_decomposition_check(dist, 2)
-    assert result.ok
-    assert result.residual_norm <= 1e-9
-    rebuilt = defaultdict(Fraction)
-    for weight, atoms in result.terms:
-        assert len(atoms) == 4
-        for x in atoms:
-            rebuilt[x] += weight / 4
-    for x in range(8):
-        assert rebuilt[x] == Fraction(1, 8)
-
-
-def test_low_entropy_input_reports_precondition_violation():
-    dist = FiniteDistribution({"a": 0.5, "b": 0.25, "c": 0.25})
-    result = flat_decomposition_check(dist, 2)
-    assert not result.ok
-    assert "min-entropy below 2" in result.reason
-
-
-@given(seed=st.integers(min_value=0, max_value=10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_flat_peeling_reconstructs_exactly(seed):
-    # build an input that is a convex combination of random flats blended
-    # with the uniform distribution on a 2^(k+1)-atom universe, so its max
-    # probability sits safely below 2^-k even after float rounding
-    rng = random.Random(seed)
-    k = rng.randrange(0, 3)
-    size = 1 << k
-    universe = list(range(2 * size))
-    masses = defaultdict(float)
-    weights = [rng.random() for _ in range(rng.randrange(1, 4))]
-    total = sum(weights) / 0.75
-    for weight in weights:
-        flat = rng.sample(universe, size)
-        for x in flat:
-            masses[x] += weight / total / size
-    for x in universe:
-        masses[x] += 0.25 / len(universe)
-    dist_map = dict(masses)
-    result = flat_decomposition_check(FiniteDistribution(dist_map), k)
-    assert result.ok
-    assert result.residual_norm <= 1e-9
-    rebuilt = defaultdict(Fraction)
-    for weight, chosen in result.terms:
-        assert len(chosen) == size
-        for x in chosen:
-            rebuilt[x] += weight / size
-    for x, p in dist_map.items():
-        assert rebuilt[x] == Fraction(p)
 
 
 # --- threshold comparisons ----------------------------------------------------------

@@ -16,6 +16,7 @@ from condlab.gf2n import (
     gf_mul,
     gf_pow,
     is_irreducible,
+    is_prime,
     selfcheck,
 )
 
@@ -97,6 +98,11 @@ def test_is_irreducible_agrees_with_trial_division_up_to_degree_8():
     for n in range(1, 9):
         for f in range(1 << n, 1 << (n + 1)):
             assert is_irreducible(f) == irreducible_by_trial_division(f, n), f
+
+
+def test_is_prime_matches_the_definition():
+    for n in range(-2, 200):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
 
 
 # --- addition ----------------------------------------------------------------
