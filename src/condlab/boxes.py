@@ -8,10 +8,12 @@ sets are sorted tuples of packed integers; membership is a binary search.
 Points stay packed everywhere outside ``perms``: :func:`slices` is the
 one place a word is read out of them, grouping points by the value of
 one coordinate, and :func:`xor_sides` the one place side values are
-put into them, which builds both a box's points and its image. Sides
+put into them, which builds a box's points, its image and the column
+images of a prefix of w-1 sides (:func:`column_images`). Sides
 that must reach size q are filled by :func:`pad_side`, the
-lexicographically smallest completion, and the densest side of one
-coordinate is :func:`fattest_side`.
+lexicographically smallest completion, the densest side of one
+coordinate is :func:`fattest_side`, and :func:`slice_bound` is the one
+top-q slice bound on what a q-box keeps of a point set.
 Box counts meet a caller's budget here (:func:`check_box_count`), point
 counts the fixed ``POINT_BUDGET`` (:func:`check_point_count`), and
 :func:`random_box` is the one seeded draw.
@@ -63,7 +65,7 @@ class QBox:
 
     def packed_points(self) -> list[int]:
         """All q^w member points, packed, in ascending order."""
-        return xor_sides([0], self, range(self.w))
+        return xor_sides([0], self.sides, self.n, range(self.w))
 
     @classmethod
     def from_ranks(cls, ranks, n: int, q: int) -> "QBox":
@@ -110,15 +112,16 @@ class PointSet:
         return f"PointSet({len(self.points)} points, n={self.n}, w={self.w})"
 
 
-def xor_sides(points, box: QBox, words) -> list[int]:
+def xor_sides(points, sides, n: int, words) -> list[int]:
     """Each of ``points`` XOR-ed with every combination of values of the
-    box's sides ``words`` (ascending), each value in its word's place; in
-    product order, ``points`` the most significant. From ``[0]`` these are
-    the packed combinations of those sides, with every other word 0."""
-    n, w = box.n, box.w
+    ``sides`` numbered ``words`` (ascending), each value in its word's
+    place of a len(sides)-word point; in product order, ``points`` the most
+    significant. From ``[0]`` these are the packed combinations of those
+    sides, with every other word 0. The sides may be of any sizes."""
+    w = len(sides)
     for i in words:
         shift = n * (w - 1 - i)
-        points = [p ^ (v << shift) for p in points for v in box.sides[i]]
+        points = [p ^ (v << shift) for p in points for v in sides[i]]
     return points
 
 
@@ -150,6 +153,14 @@ def fattest_side(by_value, q: int) -> tuple[int, ...]:
     smallest q-side that keeps the most points of one coordinate."""
     ranked = sorted(by_value, key=lambda v: (-len(by_value[v]), v))
     return pad_side(ranked[:q], q)
+
+
+def slice_bound(groups, q: int) -> int:
+    """The most points a q-box can keep of a point set whose :func:`slices`
+    maps, one per coordinate, are ``groups``: a side keeps at most its
+    coordinate's q largest slices, so the least, over the maps, of the
+    sizes of those slices summed."""
+    return min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
 
 
 # --- combination ranking (lexicographic, matches itertools.combinations) --
@@ -349,10 +360,8 @@ def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
             f"(n={spec.n}, w={spec.w})"
         )
     check_point_count(box.q, box.w)
-    bases = xor_sides([0], box, spec.read_words)
-    outputs = xor_sides(list(map(spec.apply_packed, bases)), box, spec.free_words)
     try:
-        return PointSet(outputs, box.n, box.w)
+        return PointSet(_image_points(spec, box.sides), box.n, box.w)
     except ShapeError:
         inputs = box.packed_points()
         owner = {}
@@ -365,6 +374,26 @@ def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
                 ) from None
             owner[y] = x
         raise
+
+
+def _image_points(spec: PermutationSpec, sides) -> list[int]:
+    """The outputs of the spec on the product of ``sides`` (of any sizes),
+    unsorted: evaluated once per combination of the ``read_words`` sides
+    and XOR-ed with every combination of the ``free_words`` sides."""
+    bases = xor_sides([0], sides, spec.n, spec.read_words)
+    return xor_sides(list(map(spec.apply_packed, bases)), sides, spec.n, spec.free_words)
+
+
+def column_images(spec: PermutationSpec, prefix) -> list[list[int]]:
+    """For every value t of the last word, the outputs of the spec on
+    ``prefix`` x {t}, unsorted: the columns whose unions over t in a side
+    are the images of the boxes that extend the w-1 sides ``prefix``.
+    A free last word is evaluated once, at t = 0, and XOR-ed with each t."""
+    alphabet = range(1 << spec.n)
+    if spec.w - 1 in spec.free_words:
+        base = _image_points(spec, prefix + ((0,),))
+        return [[y ^ t for y in base] for t in alphabet]
+    return [_image_points(spec, prefix + ((t,),)) for t in alphabet]
 
 
 def intersection_count(points: PointSet, box: QBox) -> int:

@@ -2,15 +2,30 @@
 
 For side size q, the conductance degree is log_q of the largest
 |pi(U) ∩ V| over all pairs of q-boxes U, V; it always lies in [1, w].
-Exact mode enumerates every U, up to ``outer_budget`` boxes, and solves
+Exact mode walks every U, up to ``outer_budget`` boxes, and solves
 the inner maximization over V with a depth-first branch and bound of at
 most ``INNER_NODE_BUDGET`` nodes: a partial box is pruned when the
-per-coordinate top-q frequency sums of the surviving points cannot beat
-the incumbent. The incumbent only ever moves on a strict improvement and
-candidates are visited in lexicographic order, so the reported witnesses
-are the lexicographically smallest (U, V) achieving the maximum and
-full and resumed runs agree bit for bit; a checkpoint's incumbent is
-resumed only when its witnesses replay to its count.
+per-coordinate top-q slice sums of the surviving points
+(``boxes.slice_bound``) cannot beat the incumbent.
+
+The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
+one run of ranks. For each last-word value t it evaluates the map once on
+prefix x {t}, the column image I_t, whose column bound b(t) is the inner
+search's root bound of I_t. A box's image is the union of its q columns,
+so |pi(U) ∩ V| <= the sum of b(t) over U's last side. A prefix whose q
+largest b(t) sum to at most the incumbent is jumped whole, and so is any
+box of the others whose own b(t) do; the rest pass the union of their
+columns to the inner search. A prefix with two coinciding outputs (a map
+that is not a bijection) is walked box by box through ``image_of_box``,
+which names the first box that repeats an output.
+
+The incumbent only ever moves on a strict improvement, a skipped box
+cannot strictly improve, and candidates are visited in lexicographic
+order, so the reported witnesses are the lexicographically smallest
+(U, V) achieving the maximum, ``boxes_examined`` is the cursor's rank
+whether a box was searched or skipped, and full and resumed runs agree
+bit for bit; a checkpoint's incumbent is resumed only when its
+witnesses replay to its count.
 
 Heuristic mode hill-climbs over U with random single-value side swaps
 (restarting when stuck) and solves V greedily per U; its result is a
@@ -27,6 +42,7 @@ extension and flagged in the report.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -40,6 +56,8 @@ from .boxes import (
     QBox,
     PointSet,
     check_box_count,
+    check_point_count,
+    column_images,
     digits_to_rank,
     enumerate_qboxes_range,
     fattest_side,
@@ -49,6 +67,7 @@ from .boxes import (
     pad_side,
     random_box,
     rank_to_digits,
+    slice_bound,
     slices,
     _check_box_params,
 )
@@ -162,7 +181,7 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1):
                               refused=nodes)
         # a q-box keeps at most the q fattest slices of each coordinate
         groups = [slices(pts, n, w, j) for j in range(depth, w)]
-        bound = min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
+        bound = slice_bound(groups, q)
         if bound <= best:
             return
         by_value = groups[0]
@@ -232,13 +251,20 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     lexicographically smallest witnesses. Deterministic; ``threads`` is
     accepted for interface symmetry and ignored.
 
+    Boxes are walked by prefix (their first w-1 sides). The column images
+    I_t = pi(prefix x {t}) bound a box by the sum of their root bounds
+    b(t) over its last side, so a prefix whose q largest b(t), or a box
+    whose own b(t), sum to at most the incumbent is skipped unsearched;
+    the other boxes search the union of their columns.
+
     With a ``checkpoint_path`` the search resumes from an existing file
     and writes one every ``checkpoint_every`` boxes of this session (0:
-    none), at the end, and at the failing box when the inner search runs
-    out of nodes. A checkpoint holds the rank of the next box as its
-    cursor, and its ``boxes_examined`` is that rank; a file whose cursor is
-    out of range, whose count differs from the cursor's rank, or whose
-    incumbent is not empty at box 0 or past it does not replay is refused."""
+    none), skipped boxes included, at the end, and at the failing box when
+    the inner search runs out of nodes. A checkpoint holds the rank of the
+    next box as its cursor, and its ``boxes_examined`` is that rank; a
+    file whose cursor is out of range, whose count differs from the
+    cursor's rank, or whose incumbent is not empty at box 0 or past it
+    does not replay is refused."""
     del threads
     t0 = time.monotonic()
     _check_box_params(spec.n, q, spec.w)
@@ -265,21 +291,61 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                                f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
                                f"or incumbent max_count={best}")
 
+    n, w = spec.n, spec.w
+    lasts = list(itertools.combinations(range(1 << n), q))
+    radix = len(lasts)
     # rank is the cursor: the next box's rank and the number examined
     rank = start
-    for ubox in enumerate_qboxes_range(spec.n, q, spec.w, start, total):
-        img = image_of_box(spec, ubox)
+
+    def advance(to):
+        """Move the cursor to rank ``to``, writing the checkpoints a scan of
+        every box would write on the way."""
+        nonlocal rank
+        if checkpoint_path and checkpoint_every:
+            done = rank - start
+            for r in range(done - done % checkpoint_every + checkpoint_every,
+                           to - start + 1, checkpoint_every):
+                write_checkpoint(checkpoint_path, spec, q, start + r, best, best_u, best_v)
+        rank = to
+
+    def search(points, u_sides):
+        nonlocal best, best_u, best_v
         try:
-            count, sides = _best_box_bnb(img.points, spec.n, spec.w, q, incumbent=best)
+            count, sides = _best_box_bnb(points, n, w, q, incumbent=best)
         except BudgetError:
             if checkpoint_path:
                 write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
             raise
         if sides is not None:
-            best, best_u, best_v = count, ubox.sides, sides
-        rank += 1
-        if checkpoint_path and checkpoint_every and (rank - start) % checkpoint_every == 0:
-            write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+            best, best_u, best_v = count, u_sides, sides
+        advance(rank + 1)
+
+    # the last side is the least significant digit of the rank, so the
+    # boxes sharing their first w-1 sides (a prefix) are one run of ranks
+    if w == 1:
+        prefixes = [()] if start < total else []
+    else:
+        prefixes = (box.sides for box in
+                    enumerate_qboxes_range(n, q, w - 1, start // radix, total // radix))
+    for prefix in prefixes:
+        check_point_count(q, w)  # each box's image, as image_of_box refuses it
+        first = rank % radix  # a resumed run starts inside its first prefix
+        columns = column_images(spec, prefix)
+        if len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0]):
+            # two outputs coincide: image_of_box names the first box that repeats one
+            for last in lasts[first:]:
+                u_sides = prefix + (last,)
+                search(image_of_box(spec, QBox(u_sides, n)).points, u_sides)
+            continue
+        bounds = [slice_bound([slices(col, n, w, j) for j in range(w)], q) for col in columns]
+        if sum(heapq.nlargest(q, bounds)) <= best:
+            advance(rank - first + radix)
+            continue
+        for last in lasts[first:]:
+            if sum(bounds[t] for t in last) <= best:
+                advance(rank + 1)
+            else:
+                search([y for t in last for y in columns[t]], prefix + (last,))
 
     if checkpoint_path:
         write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)

@@ -28,6 +28,21 @@ def pi1_table():
     return table
 
 
+def pi2_table():
+    table = []
+    for a, b, c in product(range(4), repeat=3):
+        table.append((a << 4) | ((b ^ GF4_MUL[a][c]) << 2) | c)
+    return table
+
+
+def piw4_table():
+    """piw at w = 4: pi1 on words 0-2, word 3 passed through."""
+    table = []
+    for a, b, c, d in product(range(4), repeat=4):
+        table.append((a << 6) | (b << 4) | ((c ^ GF4_MUL[a][b]) << 2) | d)
+    return table
+
+
 def pi3_table():
     table = []
     for a, b, c in product(range(4), repeat=3):

@@ -230,11 +230,11 @@ def test_bothmix_box_on_the_collapsed_plane_names_the_first_repeat():
 def test_xor_sides_spreads_points_over_the_chosen_sides():
     box = QBox(((0, 2), (1, 3), (1, 2)), 2)
     assert box.packed_points() == [pack_words(t, 2) for t in itertools.product(*box.sides)]
-    assert xor_sides([0], box, [0, 2]) == [pack_words((a, 0, c), 2)
-                                           for a in (0, 2) for c in (1, 2)]
-    assert xor_sides([5, 7], box, []) == [5, 7]
-    assert xor_sides([pack_words((1, 1, 3), 2)], box, [1]) == [pack_words((1, 1 ^ 1, 3), 2),
-                                                               pack_words((1, 1 ^ 3, 3), 2)]
+    assert xor_sides([0], box.sides, 2, [0, 2]) == [pack_words((a, 0, c), 2)
+                                                    for a in (0, 2) for c in (1, 2)]
+    assert xor_sides([5, 7], box.sides, 2, []) == [5, 7]
+    assert xor_sides([pack_words((1, 1, 3), 2)], box.sides, 2, [1]) == [
+        pack_words((1, 1 ^ 1, 3), 2), pack_words((1, 1 ^ 3, 3), 2)]
 
 
 def test_image_budget():

@@ -1,5 +1,6 @@
 """Conductance engine tests: oracle agreement, witnesses, bounds, files."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -45,7 +46,9 @@ from naive_oracle import (
     naive_max_count,
     naive_max_with_witness,
     pi1_table,
+    pi2_table,
     pi3_table,
+    piw4_table,
 )
 
 
@@ -601,3 +604,123 @@ def test_checkpoint_witnesses_survive_non_improving_sessions(tmp_path, monkeypat
         assert report.witness_u == full.witness_u
         assert report.witness_v == full.witness_v
         assert report.boxes_examined == full.boxes_examined
+
+
+# --- the prefix walk: skipped boxes change no report, file or refusal ------
+
+_SWEEP = [("identity w=1", lambda: PermutationSpec.identity(2, 1), lambda: identity_table(1)),
+          ("identity w=2", lambda: PermutationSpec.identity(2, 2), lambda: identity_table(2)),
+          ("identity w=3", lambda: PermutationSpec.identity(2, 3), lambda: identity_table(3)),
+          ("pi1", lambda: PermutationSpec.pi1(2), pi1_table),
+          ("pi2", lambda: PermutationSpec.pi2(2), pi2_table),
+          ("pi3", lambda: PermutationSpec.pi3(2), pi3_table),
+          ("piw w=4", lambda: PermutationSpec.piw(2, 4), piw4_table)]
+_SWEEP += [(f"random seed={seed} w={w}", lambda seed=seed, w=w: random_table(seed, 2, w), None)
+           for seed in (0, 1) for w in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("make_spec,make_table", [case[1:] for case in _SWEEP],
+                         ids=[case[0] for case in _SWEEP])
+def test_prefix_walk_matches_the_oracle_count_and_witnesses(make_spec, make_table, q):
+    spec = make_spec()
+    table = make_table() if make_table else list(spec.table)
+    report = exact_conductance(spec, q)
+    best, u_sides, v_sides = naive_max_with_witness(table, q, spec.w)
+    assert (report.max_count, report.witness_u.sides, report.witness_v.sides) == (
+        best, u_sides, v_sides)
+    assert report.boxes_examined == math.comb(4, q) ** spec.w
+
+
+# full reports, wall time aside, of the box-by-box engine that preceded
+# the prefix walk: (max_count, condd, witness_u, witness_v)
+_PINNED_N3_Q3 = {
+    "pi1": (21, 2.771243749161423, [[0, 1, 2], [0, 1, 2], [0, 1, 2]],
+            [[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
+    "pi2": (21, 2.771243749161423, [[0, 1, 2], [0, 1, 2], [0, 1, 2]],
+            [[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
+    "pi3": (23, 2.8540498302002715, [[0, 2, 5], [0, 1, 2], [0, 2, 4]],
+            [[0, 2, 5], [0, 1, 2], [0, 2, 4]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_N3_Q3))
+def test_exact_reports_at_n3_q3_are_pinned(kind):
+    report = exact_conductance(PermutationSpec(kind, 3, 3), 3).to_json_dict()
+    del report["wall_seconds"]
+    count, condd, u_sides, v_sides = _PINNED_N3_Q3[kind]
+    assert report == {"n": 3, "w": 3, "q": 3, "alpha": 0.5283208335737187, "mode": "exact",
+                      "max_count": count, "condd": condd, "witness_u": u_sides,
+                      "witness_v": v_sides, "boxes_examined": 175616, "exhausted": True,
+                      "q_is_power_of_two": False}
+
+
+def test_jumped_prefixes_write_the_checkpoints_of_a_box_by_box_scan(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    # pi1 n=2 q=2 meets q^w at box 0, so every later prefix of 6 boxes is
+    # jumped whole; a write still lands on every fifth rank, and the bytes
+    # are those the box-by-box engine wrote
+    path = str(tmp_path / "jumps.ckpt")
+    real_write = conductance.write_checkpoint
+    written = []
+
+    def write_and_keep(*args):
+        real_write(*args)
+        with open(path, "rb") as fh:
+            written.append((args[3], fh.read()))
+
+    monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
+    report = exact_conductance(PermutationSpec.pi1(2), 2, checkpoint_path=path, checkpoint_every=5)
+    assert report.boxes_examined == 216
+    assert [rank for rank, _ in written] == list(range(5, 216, 5)) + [216]
+    digest = hashlib.sha256(b"".join(data for _, data in written)).hexdigest()
+    assert digest == "67f7b4f3b95f596aded32574826b59a09317fc00598a8b4212717bfe80a5b4d3"
+
+
+def test_resume_inside_a_jumped_prefix_equals_the_full_run(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    spec = PermutationSpec.pi1(2)
+    full = exact_conductance(spec, 2)
+    path = str(tmp_path / "inside.ckpt")
+    # rank 10 lies inside the second prefix (ranks 6-11), which is jumped
+    _checkpoint_after_first_write(monkeypatch, spec, 2, path, 10)
+    assert read_checkpoint(path)["cursor"] == (0, 1, 4)
+    inner = []
+    real_inner = conductance._best_box_bnb
+    monkeypatch.setattr(conductance, "_best_box_bnb",
+                        lambda *args, **kw: inner.append(args) or real_inner(*args, **kw))
+    resumed = exact_conductance(spec, 2, checkpoint_path=path)
+    assert inner == []
+    assert (resumed.max_count, resumed.witness_u, resumed.witness_v, resumed.boxes_examined) == (
+        full.max_count, full.witness_u, full.witness_v, full.boxes_examined)
+
+
+def test_a_box_that_cannot_improve_is_neither_imaged_nor_searched(monkeypatch):
+    from condlab import conductance
+
+    calls = {"image": 0, "inner": 0}
+    real_image, real_inner = conductance.image_of_box, conductance._best_box_bnb
+
+    def count(key, fn):
+        def counted(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return counted
+
+    monkeypatch.setattr(conductance, "image_of_box", count("image", real_image))
+    monkeypatch.setattr(conductance, "_best_box_bnb", count("inner", real_inner))
+    # box 0 is a maximizer (q^w = 8): every other box's column bound is 8
+    report = exact_conductance(PermutationSpec.identity(3, 3), 2)
+    assert (report.max_count, report.boxes_examined) == (8, 28 ** 3)
+    assert calls == {"image": 0, "inner": 1}
+
+
+def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
+    spec = PermutationSpec.bothmix(3)
+    with pytest.raises(NotAPermutationError) as exc:
+        exact_conductance(spec, 2)
+    assert exc.value.witness == (0x41, 0x48)
+    assert str(exc.value) == ("box inputs 0x41 and 0x48 both map to 0x49; "
+                              "the box searches need a bijection")
