@@ -314,33 +314,25 @@ def digits_to_rank(digits, radix: int) -> int:
 def enumerate_qboxes(n: int, q: int, w: int):
     """Yield every q-box exactly once, in lexicographic order of sides."""
     _check_box_params(n, q, w)
-    yield from enumerate_qboxes_range(n, q, w, 0, check_box_count(n, q, w, DEFAULT_BOX_BUDGET))
+    total = check_box_count(n, q, w, DEFAULT_BOX_BUDGET)
+    sides = list(itertools.combinations(range(1 << n), q))
+    for box in enumerate_qboxes_range(sides, w, 0, total):
+        yield QBox(box, n)
 
 
-def enumerate_qboxes_range(n: int, q: int, w: int, start: int, stop: int):
-    """Yield boxes with global ranks in [start, stop), lexicographically.
+def enumerate_qboxes_range(sides, w: int, start: int, stop: int):
+    """The side tuples of the w-side boxes over ``sides`` whose global
+    ranks lie in [start, stop), lexicographically (w = 0 gives one empty
+    tuple). The global rank is mixed-radix in len(sides), the last side
+    least significant.
 
-    The one enumeration loop: ``enumerate_qboxes`` and the exact search,
-    which resumes from a checkpoint cursor, both run it. No total-count
-    budget applies since the caller bounds the range.
+    The one box walk: ``enumerate_qboxes`` and the exact search, which
+    walks the prefixes of w-1 sides from a checkpoint cursor, both run it.
+    No total-count budget applies since the caller bounds the range.
     """
-    _check_box_params(n, q, w)
     if start < 0:
         raise RangeError(f"box rank {start} is negative")
-    sides = list(itertools.combinations(range(1 << n), q))
-    radix = len(sides)
-    stop = min(stop, radix ** w)
-    if start >= stop:
-        return
-    # odometer over per-side indices, seeded by the digits of `start`
-    idx = list(rank_to_digits(start, radix, w))
-    for _ in range(stop - start):
-        yield QBox(tuple(sides[i] for i in idx), n)
-        for pos in range(w - 1, -1, -1):
-            idx[pos] += 1
-            if idx[pos] < radix:
-                break
-            idx[pos] = 0
+    return itertools.islice(itertools.product(sides, repeat=w), start, stop)
 
 
 def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:

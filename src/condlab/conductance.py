@@ -11,13 +11,16 @@ per-coordinate top-q slice sums of the surviving points
 The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
 one run of ranks. For each last-word value t it evaluates the map once on
 prefix x {t}, the column image I_t, whose column bound b(t) is the inner
-search's root bound of I_t. A box's image is the union of its q columns,
-so |pi(U) ∩ V| <= the sum of b(t) over U's last side. A prefix whose q
-largest b(t) sum to at most the incumbent is jumped whole, and so is any
-box of the others whose own b(t) do; the rest pass the union of their
-columns to the inner search. A prefix with two coinciding outputs (a map
-that is not a bijection) is walked box by box through ``image_of_box``,
-which names the first box that repeats an output.
+search's root bound of I_t; when the last word is free, every I_t is a
+translate of I_0 in that word and one bound serves every t. A box's
+image is the union of its q columns, so |pi(U) ∩ V| <= the sum of b(t)
+over U's last side. A prefix whose q largest b(t) sum to at most the
+incumbent is jumped whole, and so is any box of the others whose own
+b(t) do; the rest pass the union of their columns to the inner search.
+Once the incumbent reaches q^w, which no box can beat, the walk stops.
+A prefix with two coinciding outputs (a map that is not a bijection) is
+never jumped whole: its first box whose columns repeat an output goes to
+``image_of_box``, which names that repeat.
 
 The incumbent only ever moves on a strict improvement, a skipped box
 cannot strictly improve, and candidates are visited in lexicographic
@@ -255,7 +258,9 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     I_t = pi(prefix x {t}) bound a box by the sum of their root bounds
     b(t) over its last side, so a prefix whose q largest b(t), or a box
     whose own b(t), sum to at most the incumbent is skipped unsearched;
-    the other boxes search the union of their columns.
+    the other boxes search the union of their columns. The walk stops
+    once the incumbent is q^w. A box whose columns repeat an output is
+    refused by ``image_of_box``, and its prefix is not jumped past it.
 
     With a ``checkpoint_path`` the search resumes from an existing file
     and writes one every ``checkpoint_every`` boxes of this session (0:
@@ -267,33 +272,32 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     does not replay is refused."""
     del threads
     t0 = time.monotonic()
-    _check_box_params(spec.n, q, spec.w)
+    n, w = spec.n, spec.w
+    _check_box_params(n, q, w)
     if checkpoint_every < 0:
         raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
-    total = check_box_count(spec.n, q, spec.w, outer_budget, "exact search", "outer boxes")
-
+    total = check_box_count(n, q, w, outer_budget, "exact search", "outer boxes")
+    lasts = list(itertools.combinations(range(1 << n), q))
+    radix = len(lasts)
     start = 0
     best, best_u, best_v = -1, None, None
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = read_checkpoint(checkpoint_path)
-        if ck["spec"] != spec.digest() or ck["q"] != q or len(ck["cursor"]) != spec.w:
+        if ck["spec"] != spec.digest() or ck["q"] != q or len(ck["cursor"]) != w:
             raise CondlabError(
                 f"checkpoint {checkpoint_path} belongs to a different search"
             )
-        radix = comb(1 << spec.n, q)
         start = digits_to_rank(ck["cursor"], radix)
         best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
-        if (not 0 <= start <= total or rank_to_digits(start, radix, spec.w) != ck["cursor"]
+        if (not 0 <= start <= total or rank_to_digits(start, radix, w) != ck["cursor"]
                 or ck["boxes_examined"] != start
                 or not (_replays(spec, q, best, best_u, best_v) if start
                         else (best, best_u, best_v) == (-1, None, None))):
             raise CondlabError(f"checkpoint {checkpoint_path} holds an invalid cursor "
                                f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
                                f"or incumbent max_count={best}")
+    check_point_count(q, w)  # each box's image, as image_of_box refuses it
 
-    n, w = spec.n, spec.w
-    lasts = list(itertools.combinations(range(1 << n), q))
-    radix = len(lasts)
     # rank is the cursor: the next box's rank and the number examined
     rank = start
 
@@ -308,44 +312,42 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                 write_checkpoint(checkpoint_path, spec, q, start + r, best, best_u, best_v)
         rank = to
 
-    def search(points, u_sides):
-        nonlocal best, best_u, best_v
-        try:
-            count, sides = _best_box_bnb(points, n, w, q, incumbent=best)
-        except BudgetError:
-            if checkpoint_path:
-                write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
-            raise
-        if sides is not None:
-            best, best_u, best_v = count, u_sides, sides
-        advance(rank + 1)
+    def bound(column):
+        return slice_bound([slices(column, n, w, j) for j in range(w)], q)
 
     # the last side is the least significant digit of the rank, so the
     # boxes sharing their first w-1 sides (a prefix) are one run of ranks
-    if w == 1:
-        prefixes = [()] if start < total else []
-    else:
-        prefixes = (box.sides for box in
-                    enumerate_qboxes_range(n, q, w - 1, start // radix, total // radix))
-    for prefix in prefixes:
-        check_point_count(q, w)  # each box's image, as image_of_box refuses it
+    for prefix in enumerate_qboxes_range(lasts, w - 1, start // radix, total // radix):
+        if best == q ** w:
+            break  # no box can strictly improve on a full one
         first = rank % radix  # a resumed run starts inside its first prefix
         columns = column_images(spec, prefix)
-        if len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0]):
-            # two outputs coincide: image_of_box names the first box that repeats one
-            for last in lasts[first:]:
-                u_sides = prefix + (last,)
-                search(image_of_box(spec, QBox(u_sides, n)).points, u_sides)
-            continue
-        bounds = [slice_bound([slices(col, n, w, j) for j in range(w)], q) for col in columns]
-        if sum(heapq.nlargest(q, bounds)) <= best:
+        # two outputs coincide (a map that is not a bijection)
+        collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
+        if w - 1 in spec.free_words:  # every column a last-word translate of column 0
+            bounds = [bound(columns[0])] * len(columns)
+        else:
+            bounds = list(map(bound, columns))
+        if not collides and sum(heapq.nlargest(q, bounds)) <= best:
             advance(rank - first + radix)
             continue
         for last in lasts[first:]:
+            if collides and len({y for t in last for y in columns[t]}) < q ** w:
+                image_of_box(spec, QBox(prefix + (last,), n))  # names the first repeat
             if sum(bounds[t] for t in last) <= best:
                 advance(rank + 1)
-            else:
-                search([y for t in last for y in columns[t]], prefix + (last,))
+                continue
+            try:
+                count, sides = _best_box_bnb([y for t in last for y in columns[t]], n, w, q,
+                                             incumbent=best)
+            except BudgetError:
+                if checkpoint_path:
+                    write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+                raise
+            if sides is not None:
+                best, best_u, best_v = count, prefix + (last,), sides
+            advance(rank + 1)
+    advance(total)
 
     if checkpoint_path:
         write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)

@@ -121,11 +121,15 @@ def test_global_rank_round_trip_and_range_enumeration():
         assert rank_to_digits(rank, radix, 2) == digits
         assert QBox.from_ranks(digits, 2, 2) == box
     assert rank_to_digits(len(boxes), radix, 2) == (radix, 0)  # the exhausted cursor
-    assert list(enumerate_qboxes_range(2, 2, 2, 7, 13)) == boxes[7:13]
+    sides = list(itertools.combinations(range(4), 2))
+    assert list(enumerate_qboxes_range(sides, 2, 7, 13)) == [box.sides for box in boxes[7:13]]
     with pytest.raises(RangeError):
-        list(enumerate_qboxes_range(2, 2, 2, -1, 3))
-    assert list(enumerate_qboxes_range(2, 2, 2, 30, 99)) == boxes[30:]
-    assert list(enumerate_qboxes_range(2, 2, 2, 5, 5)) == []
+        list(enumerate_qboxes_range(sides, 2, -1, 3))
+    assert list(enumerate_qboxes_range(sides, 2, 30, 99)) == [box.sides for box in boxes[30:]]
+    assert list(enumerate_qboxes_range(sides, 2, 5, 5)) == []
+    # w = 0: the one empty prefix, the walk of a one-word exact search
+    assert list(enumerate_qboxes_range(sides, 0, 0, 1)) == [()]
+    assert list(enumerate_qboxes_range(sides, 0, 1, 2)) == []
 
 
 def test_qbox_validation():

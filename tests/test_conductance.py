@@ -700,8 +700,9 @@ def test_resume_inside_a_jumped_prefix_equals_the_full_run(tmp_path, monkeypatch
 def test_a_box_that_cannot_improve_is_neither_imaged_nor_searched(monkeypatch):
     from condlab import conductance
 
-    calls = {"image": 0, "inner": 0}
+    calls = {"image": 0, "inner": 0, "columns": 0}
     real_image, real_inner = conductance.image_of_box, conductance._best_box_bnb
+    real_columns = conductance.column_images
 
     def count(key, fn):
         def counted(*args, **kw):
@@ -711,10 +712,57 @@ def test_a_box_that_cannot_improve_is_neither_imaged_nor_searched(monkeypatch):
 
     monkeypatch.setattr(conductance, "image_of_box", count("image", real_image))
     monkeypatch.setattr(conductance, "_best_box_bnb", count("inner", real_inner))
-    # box 0 is a maximizer (q^w = 8): every other box's column bound is 8
+    monkeypatch.setattr(conductance, "column_images", count("columns", real_columns))
+    # box 0 is a maximizer (q^w = 8): every other box's column bound is 8,
+    # and no later prefix's columns are built
     report = exact_conductance(PermutationSpec.identity(3, 3), 2)
     assert (report.max_count, report.boxes_examined) == (8, 28 ** 3)
-    assert calls == {"image": 0, "inner": 1}
+    assert calls == {"image": 0, "inner": 1, "columns": 1}
+
+
+def test_an_over_budget_box_is_refused_before_any_evaluation(monkeypatch):
+    applied = []
+    real_apply = PermutationSpec.apply_packed
+    monkeypatch.setattr(PermutationSpec, "apply_packed",
+                        lambda self, x: applied.append(x) or real_apply(self, x))
+    # one outer box, the whole cube, of 256^3 points
+    with pytest.raises(BudgetError) as exc:
+        exact_conductance(PermutationSpec.identity(8, 3), 256)
+    assert str(exc.value) == "box holds 16777216 points, over the budget of 4194304"
+    assert applied == []
+
+
+def test_a_resumed_bothmix_run_refuses_where_the_box_by_box_walk_did(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    # box 0 of bothmix n=2 repeats an output, so the run resumes at box 1
+    # of that colliding prefix with a planted incumbent; it improves to 5
+    # and is refused at box 5, as the walk that imaged every box of a
+    # colliding prefix was, after the same checkpoint writes
+    spec = PermutationSpec.bothmix(2)
+    u_sides = ((2, 3), (0, 3), (1, 2))
+    v, count = best_V_for_U(image_of_box(spec, QBox(u_sides, 2)), 2)
+    assert count == 3
+    path = str(tmp_path / "bothmix.ckpt")
+    conductance.write_checkpoint(path, spec, 2, 1, count, u_sides, v.sides)
+    real_write = conductance.write_checkpoint
+    written = []
+
+    def write_and_keep(*args):
+        real_write(*args)
+        with open(path, "rb") as fh:
+            written.append((args[3], fh.read()))
+
+    monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
+    with pytest.raises(NotAPermutationError) as exc:
+        exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=1)
+    assert exc.value.witness == (0x13, 0x16)
+    assert str(exc.value) == ("box inputs 0x13 and 0x16 both map to 0x1f; "
+                              "the box searches need a bijection")
+    assert [rank for rank, _ in written] == [2, 3, 4, 5]
+    assert read_checkpoint(path)["max_count"] == 5
+    digest = hashlib.sha256(b"".join(data for _, data in written)).hexdigest()
+    assert digest == "8854f0899e2f17854dcb8409d00cf49254e43a868b9de6d40f8b700c64d75fce"
 
 
 def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
