@@ -5,11 +5,15 @@ are stored sorted, so box identity, lexicographic enumeration order, and
 the cursor (one combination rank per side) are all well defined. Point
 sets are sorted tuples of packed integers; membership is a binary search.
 
-Points stay packed everywhere outside ``perms``: :func:`slices` is the
-one place a word is read out of them, grouping points by the value of
-one coordinate, and :func:`xor_sides` the one place side values are
-put into them, which builds a box's points, its image and the column
-images of a prefix of w-1 sides (:func:`column_images`). Sides
+Points stay packed everywhere outside ``perms``: :func:`word_field` is
+the one place that knows where a word sits in them. Three loops read
+words with it: :func:`slices`, which groups points by the value of one
+coordinate, and the update loops of :func:`greedy_box` and of
+``condenser.decompose``, which read the other words of the points a
+swap or a cut moves. :func:`xor_sides` is the one place side values are
+put into them, at the same place, which builds a box's points, its
+image and the column images of a prefix of w-1 sides
+(:func:`column_images`). Sides
 that must reach size q are filled by :func:`pad_side`, the
 lexicographically smallest completion, the densest side of one
 coordinate is :func:`fattest_side`, and :func:`slice_bound` is the one
@@ -112,6 +116,12 @@ class PointSet:
         return f"PointSet({len(self.points)} points, n={self.n}, w={self.w})"
 
 
+def word_field(n: int, w: int, coord: int) -> tuple[int, int]:
+    """(shift, mask) of word ``coord`` of a packed point p: the word is
+    ``(p >> shift) & mask``, the first word the most significant."""
+    return n * (w - 1 - coord), (1 << n) - 1
+
+
 def xor_sides(points, sides, n: int, words) -> list[int]:
     """Each of ``points`` XOR-ed with every combination of values of the
     ``sides`` numbered ``words`` (ascending), each value in its word's
@@ -120,19 +130,23 @@ def xor_sides(points, sides, n: int, words) -> list[int]:
     sides, with every other word 0. The sides may be of any sizes."""
     w = len(sides)
     for i in words:
-        shift = n * (w - 1 - i)
+        shift = word_field(n, w, i)[0]
         points = [p ^ (v << shift) for p in points for v in sides[i]]
     return points
 
 
-def slices(points, n: int, w: int, coord: int) -> dict[int, list[int]]:
+def slices(points, n: int, w: int, coord: int, keys=None) -> dict[int, list]:
     """Word value -> the packed points whose word ``coord`` holds it, each
-    list in input order: the axis-aligned slices of one coordinate."""
-    shift = n * (w - 1 - coord)
-    mask = (1 << n) - 1
+    list in input order: the axis-aligned slices of one coordinate. Given
+    ``keys``, one per point, the lists hold the points' keys instead."""
+    shift, mask = word_field(n, w, coord)
     out = {}
-    for p in points:
-        out.setdefault((p >> shift) & mask, []).append(p)
+    if keys is None:
+        for p in points:
+            out.setdefault((p >> shift) & mask, []).append(p)
+    else:
+        for k, p in zip(keys, points):
+            out.setdefault((p >> shift) & mask, []).append(k)
     return out
 
 
@@ -405,27 +419,61 @@ def greedy_box(points: PointSet, q: int) -> tuple[QBox, int]:
     :func:`fattest_side`, then first-improvement 1-swaps until no single
     side swap raises the count. Deterministic. A swap on side i changes
     the count by the difference of two slice sizes among the points inside
-    every other side, so one pass per side prices all of its swaps."""
-    _check_box_params(points.n, q, points.w)
-    n, w = points.n, points.w
-    sides = [fattest_side(slices(points.points, n, w, i), q) for i in range(w)]
+    every other side, so one pass over side i's slices prices all of its
+    swaps.
 
-    while True:
-        for i, side in enumerate(sides):
-            inside = points.points
-            for j in range(w):
-                if j != i:
-                    by_value = slices(inside, n, w, j)
-                    inside = [p for v in sides[j] for p in by_value.get(v, ())]
-            sizes = {v: len(ps) for v, ps in sorted(slices(inside, n, w, i).items())}
-            chosen = set(side)
-            outside = [v for v in sizes if v not in chosen]
-            swap = next(((v_out, v_in) for v_out in side for v_in in outside
-                         if sizes[v_in] > sizes.get(v_out, 0)), None)
-            if swap:
-                sides[i] = tuple(sorted(chosen - {swap[0]} | {swap[1]}))
-                break
-        else:
-            break  # no side has an improving swap
-    box = QBox(tuple(sides), n)
-    return box, intersection_count(points, box)
+    Each coordinate's slices are grouped once, by point position. The
+    loop keeps, per point, how many sides miss it, and, per slice, how
+    many of its points every other side holds. A swap re-counts only the
+    points of its two slices, at w-1 words each, so a pass costs
+    O(V) for V values per coordinate, a swap O(w * (points it moves)),
+    and the count is the points no side misses."""
+    _check_box_params(points.n, q, points.w)
+    n, w, pts = points.n, points.w, points.points
+    # one int object per position, shared by the w groupings
+    positions = list(range(len(pts)))
+    groups = [slices(pts, n, w, i, positions) for i in range(w)]
+    fields = [word_field(n, w, i) for i in range(w)]
+    sides = [fattest_side(g, q) for g in groups]
+    chosen = [set(side) for side in sides]
+    # misses fit a byte below w = 256
+    miss = bytearray(len(pts)) if w < 256 else [0] * len(pts)
+    for g, inside in zip(groups, chosen):
+        for v, ks in g.items():
+            if v not in inside:
+                for k in ks:
+                    miss[k] += 1
+    # held[i][v]: the points of slice v of coordinate i that every other
+    # side holds, whose misses are side i's alone: one if v is outside it
+    held = [{v: [miss[k] for k in ks].count(v not in inside) for v, ks in g.items()}
+            for g, inside in zip(groups, chosen)]
+    values = [sorted(g) for g in groups]
+
+    i = 0
+    while i < w:
+        count, inside = held[i], chosen[i]
+        outside = [v for v in values[i] if v not in inside]
+        top = max(map(count.__getitem__, outside), default=0)
+        v_out = next((v for v in sides[i] if count.get(v, 0) < top), None)
+        if v_out is None:
+            i += 1
+            continue
+        floor = count.get(v_out, 0)
+        v_in = next(v for v in outside if count[v] > floor)
+        inside.remove(v_out)
+        inside.add(v_in)
+        sides[i] = tuple(sorted(inside))
+        others = [(held[j], chosen[j], *fields[j]) for j in range(w) if j != i]
+        for v, step in ((v_out, 1), (v_in, -1)):
+            for k in groups[i].get(v, ()):
+                before = miss[k]
+                miss[k] = after = before + step
+                if before > 1 and after > 1:
+                    continue  # two sides miss it throughout: no count holds it
+                p = pts[k]
+                for count_j, inside_j, shift, mask in others:
+                    u = (p >> shift) & mask
+                    out = u not in inside_j
+                    count_j[u] += (after == out) - (before == out)
+        i = 0  # a swap re-prices every side, from the first
+    return QBox(tuple(sides), n), miss.count(0)

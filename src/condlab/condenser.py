@@ -31,7 +31,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .boxes import PointSet, _check_box_params, image_of_box, random_box, slices
+from .boxes import (PointSet, _check_box_params, image_of_box, random_box, slices,
+                    word_field)
 from .conductance import best_V_for_U
 from .errors import BudgetError, RangeError, ShapeError
 from .perms import PermutationSpec
@@ -239,14 +240,16 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
     by bisection: a slice qualifies when 0 < size < limit. The slices of
     each coordinate are grouped once; the loop keeps one integer size per
     slice and one set of uncut points. A cut takes the uncut members of
-    its slice (still ascending), zeroes that slice's size and subtracts
-    the cut's group sizes from the slices of every other coordinate.
-    Slices only shrink, so a slice stays below the threshold from the cut
-    that first brings it there until it empties. Each coordinate keeps a
-    min-heap of its qualifying values, fed when a size crosses below
-    ``limit``; emptied values are dropped when they surface. With N points
-    and V values per coordinate the loop costs O(N*w + cuts*log V) and
-    holds the N points once in slices and once in the uncut set.
+    its slice (still ascending), zeroes that slice's size and, for each
+    cut point, decrements in place the size of its slice in every other
+    coordinate: a cut of c points costs O(c*w), and no cut is grouped
+    again. Slices only shrink, so a slice stays below the threshold from
+    the cut that first brings it there until it empties. Each coordinate
+    keeps a min-heap of its qualifying values, fed when a size reaches
+    ``limit - 1`` (above 0); emptied values are dropped when they surface.
+    With N points and V values per coordinate the loop costs
+    O(N*w + cuts*log V) and holds the N points once in slices and once in
+    the uncut set.
     """
     if len(points) == 0:
         raise ShapeError("cannot decompose an empty point set")
@@ -258,10 +261,13 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
                             key=lambda size: not size_below(size, cut_e))
 
     groups = [slices(points.points, n, w, i) for i in range(w)]
+    fields = [word_field(n, w, i) for i in range(w)]
     sizes = [{y: len(ps) for y, ps in g.items()} for g in groups]
     # an ascending list is already a heap
     ready = [sorted(y for y, size in counts.items() if size < limit) for counts in sizes]
     uncut = set(points.points)
+    # the size at which a slice starts to qualify; none does at limit 1
+    crossing = limit - 1 or -1
 
     piles = [[] for _ in range(w)]
     log = []
@@ -280,15 +286,15 @@ def decompose(points: PointSet, alpha_n: float, eps1: float, eps2: float) -> Dec
         size_i[y] = 0
         log.append((len(log) + 1, i, y, len(cut)))
         piles[i].extend(cut)
-        for j in range(w):
+        for j, (shift, mask) in enumerate(fields):
             if j == i:
                 continue
-            size_j = sizes[j]
-            for v, gone in slices(cut, n, w, j).items():
-                before = size_j[v]
-                size_j[v] = after = before - len(gone)
-                if 0 < after < limit <= before:
-                    heapq.heappush(ready[j], v)
+            size_j, heap_j = sizes[j], ready[j]
+            for p in cut:
+                v = (p >> shift) & mask
+                size_j[v] = after = size_j[v] - 1
+                if after == crossing:
+                    heapq.heappush(heap_j, v)
 
     r1 = []
     parts = []
@@ -491,9 +497,19 @@ class CondenserProfile:
 
 def coordinate_min_entropy(part: PointSet, coord: int) -> tuple[int, float]:
     """(fattest slice size, min-entropy in bits of coordinate ``coord`` of
-    the uniform distribution on ``part``)."""
+    the uniform distribution on ``part``). A ShapeError for an empty part
+    or a coordinate outside range(w)."""
+    if not 0 <= coord < part.w or not len(part):
+        raise ShapeError(f"no min-entropy of coordinate {coord} of a part of "
+                         f"{len(part)} points at w={part.w}")
     fattest = max(map(len, slices(part.points, part.n, part.w, coord).values()))
-    return fattest, math.log2(len(part)) - math.log2(fattest)
+    return fattest, _min_entropy_bits(len(part), fattest)
+
+
+def _min_entropy_bits(size: int, fattest: int) -> float:
+    """log2(size / fattest): the min-entropy of a coordinate whose fattest
+    slice holds ``fattest`` of ``size`` equally likely points."""
+    return math.log2(size) - math.log2(fattest)
 
 
 def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
@@ -523,13 +539,18 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
         img = image_of_box(spec, box)
         dec = decompose(img, alpha_n, eps1, eps2)
         gamma = (len(dec.r0) + len(dec.r1)) / (q ** spec.w)
+        # a kept part i is the union of the coordinate-i cuts, one per value,
+        # so its fattest i-slice is the largest of those cuts
+        largest = [0] * spec.w
+        for _, i, _, size in dec.slice_log:
+            largest[i] = max(largest[i], size)
         entropies = {}
         for i, part in enumerate(dec.parts):
             if not len(part):
                 continue
-            fattest, bits = coordinate_min_entropy(part, i)
+            fattest = largest[i]
             met = _scaled_below(fattest, target_shift, len(part))
-            entropies[i] = (len(part), fattest, bits, met)
+            entropies[i] = (len(part), fattest, _min_entropy_bits(len(part), fattest), met)
         return TrialProfile(index, ranks, gamma, entropies)
 
     results = [run_trial(index, *draw) for index, draw in enumerate(draws)]

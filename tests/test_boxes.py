@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlab import boxes
 from condlab.boxes import (
     PointSet,
     QBox,
@@ -18,6 +19,7 @@ from condlab.boxes import (
     digits_to_rank,
     enumerate_qboxes,
     enumerate_qboxes_range,
+    fattest_side,
     greedy_box,
     image_of_box,
     intersection_count,
@@ -29,6 +31,37 @@ from condlab.boxes import (
 )
 from condlab.errors import BudgetError, NotAPermutationError, RangeError, ShapeError
 from condlab.perms import PermutationSpec, pack_words, random_table, unpack_words
+
+
+# --- reference: the greedy box that re-slices on every pass ------------------
+
+
+def reference_greedy_box(points, q):
+    """(box, count, swaps) of the greedy box, pricing each side from the
+    points that every other side holds, found by slicing afresh."""
+    n, w = points.n, points.w
+    sides = [fattest_side(slices(points.points, n, w, i), q) for i in range(w)]
+    swaps = 0
+    while True:
+        for i, side in enumerate(sides):
+            inside = points.points
+            for j in range(w):
+                if j != i:
+                    by_value = slices(inside, n, w, j)
+                    inside = [p for v in sides[j] for p in by_value.get(v, ())]
+            sizes = {v: len(ps) for v, ps in sorted(slices(inside, n, w, i).items())}
+            chosen = set(side)
+            outside = [v for v in sizes if v not in chosen]
+            swap = next(((v_out, v_in) for v_out in side for v_in in outside
+                         if sizes[v_in] > sizes.get(v_out, 0)), None)
+            if swap:
+                sides[i] = tuple(sorted(chosen - {swap[0]} | {swap[1]}))
+                swaps += 1
+                break
+        else:
+            break
+    box = QBox(tuple(sides), n)
+    return box, intersection_count(points, box), swaps
 
 
 def test_enumeration_counts():
@@ -302,6 +335,75 @@ def test_greedy_box_never_beats_exhaustive():
             intersection_count(ps, box) for box in enumerate_qboxes(2, 2, 3)
         )
         assert count <= best
+
+
+def _greedy_sweep(rng):
+    """(points, q) pairs: seeded box images under identity, pi1, pi3, piw at
+    w = 4 to 6 and random tables, at every q from 1 to 2^n, each with a
+    random subset of it."""
+    specs = [PermutationSpec.identity(3, 3), PermutationSpec.pi1(3), PermutationSpec.pi3(3),
+             PermutationSpec.pi1(4), PermutationSpec.piw(2, 4), PermutationSpec.piw(2, 5),
+             PermutationSpec.piw(2, 6), random_table(1, 3, 2), random_table(2, 2, 4)]
+    for spec in specs:
+        for q in range(1, (1 << spec.n) + 1):
+            for _ in range(2):
+                image = image_of_box(spec, random_box(rng, spec.n, q, spec.w)[1])
+                subset = rng.sample(image.points, rng.randint(1, len(image)))
+                yield image, q
+                yield PointSet(subset, spec.n, spec.w), q
+
+
+def test_greedy_box_matches_the_reference_on_a_seeded_sweep():
+    swaps = []
+    for ps, q in _greedy_sweep(random.Random(19)):
+        box, count, moved = reference_greedy_box(ps, q)
+        assert greedy_box(ps, q) == (box, count), (ps, q)
+        swaps.append(moved)
+    assert len(swaps) > 200 and sum(m >= 2 for m in swaps) >= 3
+
+
+def test_greedy_box_counts_misses_past_a_byte():
+    # q = 1 at w = 300: the all-ones point misses all 300 sides of the box
+    # of zeros that the tie-break picks
+    n, w = 1, 300
+    ps = PointSet([0, (1 << w) - 1], n, w)
+    box, count = greedy_box(ps, 1)
+    assert (box, count) == reference_greedy_box(ps, 1)[:2] == (QBox(((0,),) * w, n), 1)
+
+
+def test_greedy_box_groups_the_points_once_per_coordinate(monkeypatch):
+    # however many swaps it makes, the greedy box slices its input w times
+    cases = [(ps, q) for ps, q in _greedy_sweep(random.Random(19))
+             if reference_greedy_box(ps, q)[2] >= 2]
+    assert cases
+    calls = []
+    real = boxes.slices
+
+    def counted(points, *args):
+        calls.append(len(points))
+        return real(points, *args)
+    monkeypatch.setattr(boxes, "slices", counted)
+    for ps, q in cases:
+        calls.clear()
+        greedy_box(ps, q)
+        assert calls == [len(ps)] * ps.w
+
+
+# greedy_box's tracemalloc peak on the image below before it kept per-point
+# miss counts, when it re-sliced the image on every pass
+RESLICING_PEAK_BYTES = 1_417_536
+
+
+def test_greedy_box_peak_memory_stays_near_the_reslicing_one():
+    image = image_of_box(PermutationSpec.pi1(6), random_box(random.Random(0), 6, 32, 3)[1])
+    assert len(image) == 32768
+    tracemalloc.start()
+    try:
+        greedy_box(image, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * RESLICING_PEAK_BYTES
 
 
 def test_slices_hold_every_point_once_under_its_word_in_input_order():

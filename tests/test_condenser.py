@@ -251,6 +251,23 @@ def test_bad_parameters_are_refused_before_any_slicing(monkeypatch):
             decompose(ps, alpha_n, eps1, eps2)
 
 
+def test_decompose_groups_the_points_once_per_coordinate(monkeypatch):
+    # however many cuts it makes, the cut loop slices its input w times
+    calls = []
+    real = condenser.slices
+
+    def counted(points, *args):
+        calls.append(len(points))
+        return real(points, *args)
+    monkeypatch.setattr(condenser, "slices", counted)
+    most = 0
+    for label, ps in _sweep_images(random.Random(15)):
+        calls.clear()
+        most = max(most, len(decompose(ps, 3.0, 0.125, 0.375).slice_log))
+        assert calls == [len(ps)] * ps.w, label
+    assert most > 20
+
+
 def packed_set(words, n):
     return PointSet([pack_words(t, n) for t in words], n, len(words[0]))
 
@@ -508,16 +525,30 @@ def test_identity_profile_fails_the_condenser_shape():
 
 
 def test_profile_matches_direct_recomputation():
-    spec = PermutationSpec.pi1(2)
-    profile = empirical_condenser_profile(spec, 1.0, 0.25, 0.25, trials=8, seed=4)
-    for trial in profile.trials:
-        box = QBox.from_ranks(trial.box_ranks, 2, 2)
-        dec = decompose(image_of_box(spec, box), 1.0, 0.25, 0.25)
-        gamma = (len(dec.r0) + len(dec.r1)) / 8
-        assert trial.gamma == gamma
-        for i, (part_size, fattest, bits, _met) in trial.coordinate_entropies.items():
-            assert part_size == len(dec.parts[i])
-            assert (fattest, bits) == coordinate_min_entropy(dec.parts[i], i)
+    # at n=5, q=8 the kept parts hold many cuts each, so the fattest slice
+    # the profile reads from the cut log is checked against a re-slicing
+    cuts_per_part = []
+    for n, q, trials, seed in ((2, 2, 8, 4), (5, 8, 5, 3)):
+        spec = PermutationSpec.pi1(n)
+        alpha_n = float(q.bit_length() - 1)
+        profile = empirical_condenser_profile(spec, alpha_n, 0.25, 0.25, trials, seed)
+        for trial in profile.trials:
+            box = QBox.from_ranks(trial.box_ranks, n, q)
+            dec = decompose(image_of_box(spec, box), alpha_n, 0.25, 0.25)
+            assert trial.gamma == (len(dec.r0) + len(dec.r1)) / q ** 3
+            for i, (part_size, fattest, bits, _met) in trial.coordinate_entropies.items():
+                assert part_size == len(dec.parts[i])
+                assert (fattest, bits) == coordinate_min_entropy(dec.parts[i], i)
+                cuts_per_part.append(sum(c == i for _, c, _, _ in dec.slice_log))
+    assert len(cuts_per_part) >= 3 and min(cuts_per_part) >= 8
+
+
+def test_coordinate_min_entropy_refuses_an_empty_part_and_a_coordinate_past_w():
+    part = PointSet([pack_words((1, 2, 3), 2)], 2, 3)
+    assert coordinate_min_entropy(part, 2) == (1, 0.0)
+    for bad, coord in ((PointSet([], 2, 3), 0), (part, 3), (part, -1)):
+        with pytest.raises(ShapeError, match=f"coordinate {coord} .* w=3"):
+            coordinate_min_entropy(bad, coord)
 
 
 def test_profile_zero_trials_is_empty_not_error():
