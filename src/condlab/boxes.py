@@ -6,18 +6,18 @@ the cursor (one combination rank per side) are all well defined. Point
 sets are sorted tuples of packed integers; membership is a binary search.
 
 Points stay packed everywhere outside ``perms``: :func:`word_field` is
-the one place that knows where a word sits in them. Three loops read
+the one place that knows where a word sits in them. Four loops read
 words with it: :func:`slices`, which groups points by the value of one
-coordinate, and the update loops of :func:`greedy_box` and of
-``condenser.decompose``, which read the other words of the points a
-swap or a cut moves. :func:`xor_sides` is the one place side values are
-put into them, at the same place, which builds a box's points, its
-image and the column images of a prefix of w-1 sides
-(:func:`column_images`). Sides
-that must reach size q are filled by :func:`pad_side`, the
-lexicographically smallest completion, the densest side of one
-coordinate is :func:`fattest_side`, and :func:`slice_bound` is the one
-top-q slice bound on what a q-box keeps of a point set.
+coordinate, :func:`slice_sizes`, which only counts them, and the update
+loops of :func:`greedy_box` and of ``condenser.decompose``, which read
+the other words of the points a swap or a cut moves. :func:`xor_sides`
+is the one place side values are put into them, at the same place,
+which builds a box's points, its image and the inputs of a prefix's
+column images (:func:`column_images`). Sides that must reach size q are
+filled by :func:`pad_side`, the lexicographically smallest completion,
+the densest side of one coordinate is :func:`fattest_side`, and
+:func:`slice_bound` is the one top-q slice bound, over slice sizes, on
+what a q-box keeps of a point set.
 Box counts meet a caller's budget here (:func:`check_box_count`), point
 counts the fixed ``POINT_BUDGET`` (:func:`check_point_count`), and
 :func:`random_box` is the one seeded draw.
@@ -124,10 +124,11 @@ def word_field(n: int, w: int, coord: int) -> tuple[int, int]:
 
 def xor_sides(points, sides, n: int, words) -> list[int]:
     """Each of ``points`` XOR-ed with every combination of values of the
-    ``sides`` numbered ``words`` (ascending), each value in its word's
-    place of a len(sides)-word point; in product order, ``points`` the most
-    significant. From ``[0]`` these are the packed combinations of those
-    sides, with every other word 0. The sides may be of any sizes."""
+    ``sides`` numbered ``words``, each value in its word's place of a
+    len(sides)-word point; in product order, ``points`` the most
+    significant, then the words in the order given. From ``[0]`` these are
+    the packed combinations of those sides, with every other word 0. The
+    sides may be of any sizes."""
     w = len(sides)
     for i in words:
         shift = word_field(n, w, i)[0]
@@ -150,6 +151,17 @@ def slices(points, n: int, w: int, coord: int, keys=None) -> dict[int, list]:
     return out
 
 
+def slice_sizes(points, n: int, w: int, coord: int) -> dict[int, int]:
+    """Word value -> how many of ``points`` hold it in word ``coord``: the
+    sizes of the :func:`slices` lists, without building them."""
+    shift, mask = word_field(n, w, coord)
+    out = {}
+    for p in points:
+        v = (p >> shift) & mask
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
 def pad_side(values, q: int) -> tuple[int, ...]:
     """``values`` plus the smallest values not among them, up to q, sorted:
     the lexicographically smallest q-side that contains ``values``."""
@@ -169,12 +181,21 @@ def fattest_side(by_value, q: int) -> tuple[int, ...]:
     return pad_side(ranked[:q], q)
 
 
-def slice_bound(groups, q: int) -> int:
-    """The most points a q-box can keep of a point set whose :func:`slices`
-    maps, one per coordinate, are ``groups``: a side keeps at most its
-    coordinate's q largest slices, so the least, over the maps, of the
-    sizes of those slices summed."""
-    return min(sum(sorted(map(len, g.values()), reverse=True)[:q]) for g in groups)
+def slice_bound(sizes, q: int) -> int:
+    """The most points a q-box can keep of a point set whose slice sizes,
+    one iterable per coordinate, are ``sizes`` (say, :func:`slice_sizes`
+    values): a side keeps at most its coordinate's q largest slices, so
+    the least, over the coordinates, of those q sizes summed. No
+    coordinate keeps fewer than min(q, points), so ``sizes`` is read only
+    until one does."""
+    bound = math.inf
+    for s in sizes:
+        top = sum(sorted(s)[-q:])
+        if top < bound:
+            bound = top
+            if top <= q:
+                break
+    return bound
 
 
 # --- combination ranking (lexicographic, matches itertools.combinations) --
@@ -394,12 +415,19 @@ def column_images(spec: PermutationSpec, prefix) -> list[list[int]]:
     """For every value t of the last word, the outputs of the spec on
     ``prefix`` x {t}, unsorted: the columns whose unions over t in a side
     are the images of the boxes that extend the w-1 sides ``prefix``.
-    A free last word is evaluated once, at t = 0, and XOR-ed with each t."""
-    alphabet = range(1 << spec.n)
+    The inputs of every column are built at once, t the most significant
+    word of the product, and the free-word offsets once. A free last word
+    gives column 0 alone: column t is its translate by t in that word."""
     if spec.w - 1 in spec.free_words:
-        base = _image_points(spec, prefix + ((0,),))
-        return [[y ^ t for y in base] for t in alphabet]
-    return [_image_points(spec, prefix + ((t,),)) for t in alphabet]
+        return [_image_points(spec, prefix + ((0,),))]
+    sides, read = prefix + (range(1 << spec.n),), spec.read_words  # w-1 is read[-1]
+    outputs = list(map(spec.apply_packed, xor_sides([0], sides, spec.n, read[-1:] + read[:-1])))
+    size = len(outputs) >> spec.n
+    columns = [outputs[i:i + size] for i in range(0, len(outputs), size)]
+    if spec.free_words:
+        offsets = xor_sides([0], sides, spec.n, spec.free_words)
+        columns = [[y ^ o for y in column for o in offsets] for column in columns]
+    return columns
 
 
 def intersection_count(points: PointSet, box: QBox) -> int:

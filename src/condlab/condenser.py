@@ -31,8 +31,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .boxes import (PointSet, _check_box_params, image_of_box, random_box, slices,
-                    word_field)
+from .boxes import (PointSet, _check_box_params, image_of_box, random_box, slice_sizes,
+                    slices, word_field)
 from .conductance import best_V_for_U
 from .errors import BudgetError, RangeError, ShapeError
 from .perms import PermutationSpec
@@ -162,7 +162,7 @@ class Decomposition:
                 raise AssertionError(f"kept part {i} has only {len(part)} points")
             cut_e = cut_exponent(self.alpha_n, self.w, self.eps1, self.eps2)
             shift = (1 + self.eps1) * self.alpha_n
-            for count in map(len, slices(part.points, self.n, self.w, i).values()):
+            for count in slice_sizes(part.points, self.n, self.w, i).values():
                 if not size_below(count, cut_e):
                     raise AssertionError("slice at/over cut threshold")
                 if not _scaled_below(count, shift, len(part)):
@@ -502,7 +502,7 @@ def coordinate_min_entropy(part: PointSet, coord: int) -> tuple[int, float]:
     if not 0 <= coord < part.w or not len(part):
         raise ShapeError(f"no min-entropy of coordinate {coord} of a part of "
                          f"{len(part)} points at w={part.w}")
-    fattest = max(map(len, slices(part.points, part.n, part.w, coord).values()))
+    fattest = max(slice_sizes(part.points, part.n, part.w, coord).values())
     return fattest, _min_entropy_bits(len(part), fattest)
 
 

@@ -9,18 +9,18 @@ per-coordinate top-q slice sums of the surviving points
 (``boxes.slice_bound``) cannot beat the incumbent.
 
 The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
-one run of ranks. For each last-word value t it evaluates the map once on
-prefix x {t}, the column image I_t, whose column bound b(t) is the inner
-search's root bound of I_t; when the last word is free, every I_t is a
-translate of I_0 in that word and one bound serves every t. A box's
-image is the union of its q columns, so |pi(U) ∩ V| <= the sum of b(t)
-over U's last side. A prefix whose q largest b(t) sum to at most the
-incumbent is jumped whole, and so is any box of the others whose own
-b(t) do; the rest pass the union of their columns to the inner search.
-Once the incumbent reaches q^w, which no box can beat, the walk stops.
-A prefix with two coinciding outputs (a map that is not a bijection) is
-never jumped whole: its first box whose columns repeat an output goes to
-``image_of_box``, which names that repeat.
+one run of ranks. ``boxes.column_images`` builds a prefix's inputs once and
+evaluates the map on prefix x {t} for each last-word value t, the column
+image I_t (a free last word: I_0 alone, whose translates are every I_t).
+The column bound b(t), the inner search's root bound of I_t, is
+``slice_bound`` over ``slice_sizes`` counts. A box's image is the union of
+its q columns, so |pi(U) ∩ V| <= the sum of b(t) over U's last side. Only
+the boxes whose sum beats the incumbent are visited, each re-checked when
+reached, and one cursor move crosses each run of skipped boxes; a visited
+box passes the union of its columns to the inner search. Once the
+incumbent reaches q^w, which no box can beat, the walk stops. In a prefix
+with two coinciding outputs (a map that is not a bijection) every box
+goes to ``image_of_box`` first, which names the first repeat.
 
 The incumbent only ever moves on a strict improvement, a skipped box
 cannot strictly improve, and candidates are visited in lexicographic
@@ -45,7 +45,6 @@ extension and flagged in the report.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
@@ -71,6 +70,7 @@ from .boxes import (
     random_box,
     rank_to_digits,
     slice_bound,
+    slice_sizes,
     slices,
     _check_box_params,
 )
@@ -184,7 +184,7 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1):
                               refused=nodes)
         # a q-box keeps at most the q fattest slices of each coordinate
         groups = [slices(pts, n, w, j) for j in range(depth, w)]
-        bound = slice_bound(groups, q)
+        bound = slice_bound([map(len, g.values()) for g in groups], q)
         if bound <= best:
             return
         by_value = groups[0]
@@ -255,12 +255,12 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     accepted for interface symmetry and ignored.
 
     Boxes are walked by prefix (their first w-1 sides). The column images
-    I_t = pi(prefix x {t}) bound a box by the sum of their root bounds
-    b(t) over its last side, so a prefix whose q largest b(t), or a box
-    whose own b(t), sum to at most the incumbent is skipped unsearched;
-    the other boxes search the union of their columns. The walk stops
-    once the incumbent is q^w. A box whose columns repeat an output is
-    refused by ``image_of_box``, and its prefix is not jumped past it.
+    I_t = pi(prefix x {t}), built from one set of inputs per prefix, bound
+    a box by the sum of their root bounds b(t) over its last side; only
+    boxes whose sum beats the incumbent are visited, re-checked when
+    reached, and searched over the union of their columns. The walk stops
+    once the incumbent is q^w. Where a prefix's columns repeat an output,
+    ``image_of_box`` sees each box first and refuses the first repeat.
 
     With a ``checkpoint_path`` the search resumes from an existing file
     and writes one every ``checkpoint_every`` boxes of this session (0:
@@ -298,22 +298,24 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                                f"or incumbent max_count={best}")
     check_point_count(q, w)  # each box's image, as image_of_box refuses it
 
-    # rank is the cursor: the next box's rank and the number examined
+    # rank is the cursor: the next box's rank and the number examined;
+    # a checkpoint falls due every checkpoint_every ranks of this session
     rank = start
+    due = start + checkpoint_every if checkpoint_path and checkpoint_every else math.inf
 
     def advance(to):
         """Move the cursor to rank ``to``, writing the checkpoints a scan of
         every box would write on the way."""
-        nonlocal rank
-        if checkpoint_path and checkpoint_every:
-            done = rank - start
-            for r in range(done - done % checkpoint_every + checkpoint_every,
-                           to - start + 1, checkpoint_every):
-                write_checkpoint(checkpoint_path, spec, q, start + r, best, best_u, best_v)
+        nonlocal rank, due
+        while due <= to:
+            write_checkpoint(checkpoint_path, spec, q, due, best, best_u, best_v)
+            due += checkpoint_every
         rank = to
 
     def bound(column):
-        return slice_bound([slices(column, n, w, j) for j in range(w)], q)
+        return slice_bound((slice_sizes(column, n, w, j).values() for j in range(w)), q)
+
+    translate = w - 1 in spec.free_words  # column_images gives column 0 alone
 
     # the last side is the least significant digit of the rank, so the
     # boxes sharing their first w-1 sides (a prefix) are one run of ranks
@@ -321,32 +323,32 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
         if best == q ** w:
             break  # no box can strictly improve on a full one
         first = rank % radix  # a resumed run starts inside its first prefix
+        base = rank - first
         columns = column_images(spec, prefix)
         # two outputs coincide (a map that is not a bijection)
         collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
-        if w - 1 in spec.free_words:  # every column a last-word translate of column 0
-            bounds = [bound(columns[0])] * len(columns)
-        else:
-            bounds = list(map(bound, columns))
-        if not collides and sum(heapq.nlargest(q, bounds)) <= best:
-            advance(rank - first + radix)
-            continue
-        for last in lasts[first:]:
-            if collides and len({y for t in last for y in columns[t]}) < q ** w:
-                image_of_box(spec, QBox(prefix + (last,), n))  # names the first repeat
-            if sum(bounds[t] for t in last) <= best:
-                advance(rank + 1)
-                continue
+        # b(t) for every t, each box's b(t) summed in rank order (lasts are combinations)
+        bounds = list(map(bound, columns)) * (1 << n if translate else 1)
+        sums = list(map(sum, itertools.combinations(bounds, q)))
+        for k in [k for k in range(first, radix) if collides or sums[k] > best]:
+            last = lasts[k]
+            if collides:
+                advance(base + k)
+                image_of_box(spec, QBox(prefix + (last,), n))  # refuses a repeat, naming it
+            if sums[k] <= best:
+                continue  # the incumbent has risen past it
+            advance(base + k)
             try:
-                count, sides = _best_box_bnb([y for t in last for y in columns[t]], n, w, q,
-                                             incumbent=best)
+                count, sides = _best_box_bnb(
+                    [y ^ t for t in last for y in columns[0]] if translate
+                    else [y for t in last for y in columns[t]], n, w, q, incumbent=best)
             except BudgetError:
                 if checkpoint_path:
                     write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
                 raise
             if sides is not None:
                 best, best_u, best_v = count, prefix + (last,), sides
-            advance(rank + 1)
+        advance(base + radix)
     advance(total)
 
     if checkpoint_path:

@@ -14,6 +14,7 @@ from condlab.boxes import (
     PointSet,
     QBox,
     box_count,
+    column_images,
     combination_rank,
     combination_unrank,
     digits_to_rank,
@@ -26,6 +27,8 @@ from condlab.boxes import (
     pad_side,
     random_box,
     rank_to_digits,
+    slice_bound,
+    slice_sizes,
     slices,
     xor_sides,
 )
@@ -416,6 +419,52 @@ def test_slices_hold_every_point_once_under_its_word_in_input_order():
         for value, members in by_value.items():
             assert members == [p for p in points if unpack_words(p, n, w)[coord] == value]
     assert slices([], n, w, 0) == {}
+
+
+def _every_column(spec, prefix):
+    """column_images with a free last word's translates filled in."""
+    columns = column_images(spec, prefix)
+    if len(columns) == 1:
+        columns = [[y ^ t for y in columns[0]] for t in range(1 << spec.n)]
+    return columns
+
+
+COLUMN_SPECS = (
+    [PermutationSpec.identity(n, w) for n in (1, 2, 3) for w in (1, 2, 3)]
+    + [PermutationSpec(kind, n, 3) for kind in ("pi1", "pi2", "pi3") for n in (1, 2, 3)]
+    + [PermutationSpec.piw(2, 4)]
+    + [random_table(seed, n, w) for seed in (3, 4) for n in (1, 2, 3) for w in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("spec", COLUMN_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_column_images_are_the_per_point_images_of_each_column(spec):
+    rng = random.Random(spec.n * 10 + spec.w)
+    for q in range(1, min(4, 1 << spec.n) + 1):
+        for _ in range(3):
+            prefix = random_box(rng, spec.n, q, spec.w)[1].sides[:-1]
+            columns = _every_column(spec, prefix)
+            assert len(columns) == 1 << spec.n
+            for t, column in enumerate(columns):
+                inputs = [pack_words(words, spec.n) for words in itertools.product(*prefix, (t,))]
+                assert column == [spec.apply_packed(x) for x in inputs]
+
+
+@pytest.mark.parametrize("spec", COLUMN_SPECS, ids=lambda s: f"{s.kind}-n{s.n}-w{s.w}")
+def test_slice_bound_over_sizes_equals_it_over_the_slices(spec):
+    # on every column and on the union of q columns, a box image
+    n, w = spec.n, spec.w
+    rng = random.Random(spec.n * 10 + spec.w + 1)
+    for q in range(1, min(4, 1 << n) + 1):
+        for _ in range(3):
+            columns = _every_column(spec, random_box(rng, n, q, w)[1].sides[:-1])
+            union = [y for t in rng.sample(range(1 << n), q) for y in columns[t]]
+            for points in (*columns, union):
+                sizes = [slice_sizes(points, n, w, j) for j in range(w)]
+                groups = [slices(points, n, w, j) for j in range(w)]
+                assert sizes == [{v: len(g[v]) for v in g} for g in groups]
+                assert (slice_bound([s.values() for s in sizes], q)
+                        == slice_bound([map(len, g.values()) for g in groups], q))
 
 
 def test_pad_side_is_the_smallest_completion():

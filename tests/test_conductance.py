@@ -772,3 +772,92 @@ def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
     assert exc.value.witness == (0x41, 0x48)
     assert str(exc.value) == ("box inputs 0x41 and 0x48 both map to 0x49; "
                               "the box searches need a bijection")
+
+
+# --- the column layer: one search, however the columns are built -----------
+
+# from the engine that built each column's inputs once per last-word value
+# and bounded columns over slices lists: (inner searches, map evaluations,
+# sha256 of the checkpoint bytes written every 7 boxes)
+_PINNED_TABLE_SEARCH = {
+    987: (1372, 25088, "3a838bfac649bdc6199c8dc26a8fe579691d2e908867cd85917b434d604b58e8"),
+    5: (1405, 25088, "d3b92f78d106be6f5271facc4f2be667c3b74bb64e9fdbdddeffbfe4feb2a571"),
+}
+
+
+def _counted_run(monkeypatch, spec, q, path, every):
+    """A search with its inner searches, map evaluations and checkpoint
+    writes, (rank, bytes), recorded in one event list."""
+    from condlab import conductance
+
+    events = []
+    real_inner, real_write = conductance._best_box_bnb, conductance.write_checkpoint
+    real_apply = PermutationSpec.apply_packed
+
+    def write_and_keep(*args):
+        real_write(*args)
+        with open(path, "rb") as fh:
+            events.append(("write", args[3], fh.read()))
+
+    monkeypatch.setattr(conductance, "_best_box_bnb",
+                        lambda *args, **kw: events.append(("inner",)) or real_inner(*args, **kw))
+    monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
+    monkeypatch.setattr(PermutationSpec, "apply_packed",
+                        lambda self, x: events.append(("apply",)) or real_apply(self, x))
+    report = exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=every)
+    monkeypatch.undo()
+    return report, events
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_TABLE_SEARCH))
+def test_table_search_makes_the_pinned_calls_and_writes(tmp_path, monkeypatch, seed):
+    spec = random_table(seed, 3, 3)
+    path = str(tmp_path / "table.ckpt")
+    _, events = _counted_run(monkeypatch, spec, 2, path, 7)
+    writes = [event[1:] for event in events if event[0] == "write"]
+    inner, applied, digest = _PINNED_TABLE_SEARCH[seed]
+    assert [e[0] for e in events].count("inner") == inner
+    assert [e[0] for e in events].count("apply") == applied
+    assert [rank for rank, _ in writes] == list(range(7, 28 ** 3 + 1, 7)) + [28 ** 3]
+    assert hashlib.sha256(b"".join(data for _, data in writes)).hexdigest() == digest
+
+
+def test_resume_between_two_candidate_boxes_equals_the_full_run(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    spec, q, radix = random_table(987, 3, 3), 2, 28
+    # a checkpoint at every rank, so the last one before an inner search
+    # holds the searched box's rank
+    ranks, searched, real_inner = [0], set(), conductance._best_box_bnb
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "write_checkpoint", lambda *args: ranks.append(args[3]))
+        patch.setattr(conductance, "_best_box_bnb",
+                      lambda *args, **kw: searched.add(ranks[-1]) or real_inner(*args, **kw))
+        exact_conductance(spec, q, checkpoint_path=str(tmp_path / "each.ckpt"),
+                          checkpoint_every=1)
+    # a skipped box at a multiple of 7, inside a prefix, with a searched
+    # box of the same prefix on either side
+    cursor = next(r for r in range(7, radix ** 3, 7) if r % radix and r not in searched
+                  and any(r - r % radix <= s < r for s in searched)
+                  and any(r < s < r - r % radix + radix for s in searched))
+    full, full_events = _counted_run(monkeypatch, spec, q, str(tmp_path / "full.ckpt"), 7)
+    full_writes = [event[1:] for event in full_events if event[0] == "write"]
+    path = str(tmp_path / "resume.ckpt")
+    real_write = conductance.write_checkpoint
+
+    def write_then_stop(*args):
+        real_write(*args)
+        if args[3] == cursor:
+            raise _Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "write_checkpoint", write_then_stop)
+        with pytest.raises(_Interrupted):
+            exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=7)
+    assert read_checkpoint(path)["boxes_examined"] == cursor
+    resumed, events = _counted_run(monkeypatch, spec, q, path, 7)
+    assert resumed.to_json_dict() | {"wall_seconds": 0} == full.to_json_dict() | {
+        "wall_seconds": 0}
+    assert [event[1:] for event in events if event[0] == "write"] == [
+        write for write in full_writes if write[0] > cursor]
+    assert [e[0] for e in events].count("inner") == sum(s >= cursor for s in searched)
