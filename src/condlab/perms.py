@@ -33,11 +33,13 @@ combination of the free sides. pi3 and bothmix keep their expressions
 in ``_forward``; each expression serves one point and a numpy block.
 
 Single points go through ``apply_packed``, in pure Python. The passes
-over the whole domain (``verify_bijective``, ``write_table_file``, the
-inverse of a table and the bulk load of a table file) evaluate numpy
-blocks of ascending inputs, and import numpy only when they run, so the
-per-point layers above (box images, the searches, the condenser) never
-load it.
+over the whole domain are the only places numpy loads, each importing
+it when it runs: ``verify_bijective``, ``write_table_file`` and the
+inverse of a table, which evaluate numpy blocks of ascending inputs;
+the bulk load of a table file; and drawing (``random_table``) and
+checking (``_packed_table``) a table of at least ``_NUMPY_TABLE_SIZE``
+(2^18) entries. So the per-point layers above (box images, the
+searches, the condenser) and the smaller tables never load it.
 
 A ``random`` or ``table`` spec, refused past the 24-bit exhaustive
 budget, holds its 2^(nw) outputs, and its lazy inverse, as one
@@ -367,8 +369,10 @@ def _packed_table(entries, bits: int) -> array:
     """``entries`` copied into one ``array("Q")``, which must be a
     permutation of ``range(2^bits)``: a scatter into a bytearray checks
     that (an entry past the end raises IndexError, and a repeat leaves
-    some slot at 0). Only a table that fails, or holds a value no
-    ``array("Q")`` can, is walked for its first fault in input order."""
+    some slot at 0), or from ``_NUMPY_TABLE_SIZE`` entries up one numpy
+    scatter (:func:`_covers_range`). Only a table that fails, or holds a
+    value no ``array("Q")`` can, is walked for its first fault in input
+    order."""
     size = 1 << bits
     if len(entries) != size:
         raise NotAPermutationError(f"table has {len(entries)} entries, expected {size}")
@@ -376,6 +380,10 @@ def _packed_table(entries, bits: int) -> array:
         table = array("Q", entries)
     except (TypeError, OverflowError):
         _raise_first_fault(entries, size)
+    if size >= _NUMPY_TABLE_SIZE:
+        if not _covers_range(table):
+            _raise_first_fault(table, size)
+        return table
     seen = bytearray(size)
     try:
         for y in table:
@@ -409,12 +417,20 @@ def _raise_first_fault(entries, size: int):
 
 
 def random_table(seed: int, n: int, w: int) -> PermutationSpec:
-    """A uniformly random permutation table from a seeded Fisher-Yates
-    shuffle (Mersenne Twister via ``random.Random``); same seed, same table."""
+    """A uniformly random permutation table: ``range(2^(nw))`` after
+    ``random.Random(seed).shuffle``, a Fisher-Yates shuffle on the
+    Mersenne Twister; same seed, same table. From ``_NUMPY_TABLE_SIZE``
+    entries up the same shuffle is drawn in numpy
+    (:func:`_shuffle_swaps`, :func:`_swapped_range`), which gives the
+    same table."""
     bits = n * w
     _check_domain_bits(bits, "random table over ")
-    table = array("Q", range(1 << bits))
-    random.Random(seed).shuffle(table)
+    size = 1 << bits
+    if size >= _NUMPY_TABLE_SIZE:
+        table = _swapped_range(_shuffle_swaps(seed, size))
+    else:
+        table = array("Q", range(size))
+        random.Random(seed).shuffle(table)
     return PermutationSpec("random", n, w, seed=seed, table=table)
 
 
@@ -511,6 +527,130 @@ def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
             first[y] = x
         raise AssertionError("collision flagged but preimage not found")
     return None
+
+
+# Tables of at least this many entries are drawn (random_table) and checked
+# (_packed_table) in numpy; smaller ones never import it. Measured in fresh
+# interpreters on a 2-core x86-64 host (CPython 3.11, numpy 2.4), medians
+# of 11: random.shuffle of 2^17 entries took 0.077 s against a numpy
+# import of 0.072 s plus the numpy draw's 0.024 s, and of 2^18 entries
+# 0.132 s against 0.064 + 0.040 s.
+_NUMPY_TABLE_SIZE = 1 << 18
+
+# Mersenne Twister words drawn at a time by _shuffle_swaps
+_DRAW_WORDS = 1 << 16
+
+
+def _covers_range(table: array) -> bool:
+    """Whether ``table`` holds every value of ``range(len(table))``, by
+    one scatter into a numpy bool array after a range check (numpy would
+    read an entry of 2^63 or more as a negative index)."""
+    import numpy as np
+
+    values = np.frombuffer(table, dtype=np.uint64)
+    if values.max() >= len(table):
+        return False
+    seen = np.zeros(len(table), dtype=bool)
+    seen[values] = True
+    return bool(seen.all())
+
+
+def _shuffle_swaps(seed, size: int):
+    """The swaps of ``random.Random(seed).shuffle`` over ``size`` entries,
+    as a numpy uint64 array whose entry i is ``j << 32 | i``: step i
+    swaps entries i and j, for i from size-1 down to 1 (entry 0 is 0).
+
+    The words are CPython's: ``getrandbits(32 * m)`` of
+    ``random.Random(seed)`` holds its next m 32-bit words, the first
+    drawn least significant (numpy's MT19937 would give the same words,
+    but importing ``numpy.random`` adds about 6 MB). Step i draws
+    ``_randbelow(i + 1)``: the top k bits of one word, k =
+    (i + 1).bit_length() (at most 25 within the exhaustive budget),
+    drawn again while they are at least i + 1. In a run of steps sharing k, starting at step ``top - 1``, a
+    word belongs to step ``top - 1 - c`` where c counts the words
+    accepted before it, and is accepted when below ``top - c``; so
+    ``c = exclusive_cumsum(word < top - c)``. c at a word depends only on
+    the words before it, so that fixpoint is unique, and iterating from
+    c = 0 reaches it (after t passes, the first t words are right).
+    Words are drawn ``_DRAW_WORDS`` at a time; those left after a run's
+    last step start the next run.
+    """
+    import numpy as np
+
+    rng = random.Random(seed)
+    swaps = np.zeros(size, dtype=np.uint64)
+    top, words = size, ()
+    while top > 1:
+        k = top.bit_length()
+        left = top - (1 << (k - 1)) + 1  # steps from top - 1 down that draw k bits
+        if not len(words):
+            words = np.frombuffer(rng.getrandbits(32 * _DRAW_WORDS).to_bytes(
+                4 * _DRAW_WORDS, "little"), dtype="<u4")
+        # a run takes under 2 words a step on average; reading no further
+        # keeps each fixpoint pass short
+        chunk = words[:2 * left + 64]
+        draws = (chunk >> (32 - k)).astype(np.int32)
+        taken = draws < top
+        while True:
+            c = np.cumsum(taken, dtype=np.int32) - taken
+            again = draws < top - c
+            if (again == taken).all():
+                break
+            taken = again
+        hits = np.flatnonzero(taken)[:left]
+        m = len(hits)
+        steps = np.arange(top - m, top, dtype=np.uint64)
+        swaps[top - m:top] = draws[hits[::-1]].astype(np.uint64) << np.uint64(32) | steps
+        # a chunk's words after its last hit retry the next step: in this
+        # run when the run goes on, else in the next
+        words = words[hits[-1] + 1 if m == left else len(chunk):]
+        top -= m
+    return swaps
+
+
+def _swapped_range(swaps) -> array:
+    """``range(len(swaps))`` after the swaps of :func:`_shuffle_swaps`,
+    run from the last step down, as an ``array("Q")``; ``swaps`` is
+    sorted in place and overwritten.
+
+    Sorted by j, then i, the steps that swap with one entry j come in
+    the reverse of the order they run in. Step i leaves in entry i what
+    entry j holds then: ``held`` of the next step above i among entry
+    j's steps, else j itself, where ``held[p]`` is what entry p holds
+    when step p runs. ``held`` is read only at steps p with j < p, and
+    only steps above such a p swap with entry p: the first of them,
+    ``up[p]``, last brought in ``held[up[p]]``, and with none entry p
+    still holds p (``up[p] = p``). As ``up[p] > p`` otherwise, pointer
+    jumping resolves ``held = held[up]``.
+    """
+    import numpy as np
+
+    size = len(swaps)
+    swaps.sort()
+    halves = swaps.view(np.uint32).reshape(size, 2)
+    low = 0 if sys.byteorder == "little" else 1
+    step, entry = halves[:, low], halves[:, 1 - low]
+    # up[j]: the first of entry j's steps, unless that is step j itself
+    first = step != entry
+    first[1:] &= entry[1:] != entry[:-1]
+    up = np.arange(size, dtype=np.uint32)
+    up[entry[first]] = step[first]
+    del first
+    up = up[up]
+    live = np.flatnonzero(up[up] != up)  # about 1 in 8 after one jump
+    while len(live):
+        hop = up[up[live]]
+        up[live] = hop
+        live = live[up[hop] != hop]
+    # up now holds held; entry becomes each step's output
+    same = entry[1:] == entry[:-1]
+    np.copyto(entry[:-1], up[step[1:]], where=same)
+    del up, same
+    table = array("Q", [0]) * size
+    out = np.frombuffer(table, dtype=np.uint64)
+    for start in range(0, size, _BLOCK):
+        out[step[start:start + _BLOCK]] = entry[start:start + _BLOCK]
+    return table
 
 
 # --- permutation table files ---------------------------------------------

@@ -95,8 +95,11 @@ from condlab import (PermutationSpec, decompose, empirical_condenser_profile,
                      exact_conductance, heuristic_lower_bound, image_of_box,
                      random_table, verify_bijective, verify_converse_bounds)
 from condlab.boxes import QBox
+from condlab.perms import _NUMPY_TABLE_SIZE
 
 loaded = {}
+below = _NUMPY_TABLE_SIZE.bit_length() - 2  # one bit below the numpy tables
+PermutationSpec.explicit(random_table(7, below, 1).table[::-1], below, 1)
 spec = random_table(5, 3, 3)
 small = random_table(6, 2, 3)
 with tempfile.TemporaryDirectory() as tmp:
@@ -114,6 +117,20 @@ loaded["scan"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
 
+LARGE_TABLE_SCRIPT = """
+import json, sys
+from condlab import PermutationSpec, random_table
+from condlab.perms import _NUMPY_TABLE_SIZE
+
+bits = _NUMPY_TABLE_SIZE.bit_length() - 1
+loaded = {}
+PermutationSpec.explicit(range(_NUMPY_TABLE_SIZE), bits, 1)
+loaded["check"] = "numpy" in sys.modules
+random_table(7, bits, 1)  # its words come from random.Random, not numpy.random
+loaded["numpy.random"] = "numpy.random" in sys.modules
+print(json.dumps(loaded))
+"""
+
 
 def test_numpy_stays_out_of_the_per_point_paths():
     # importing numpy costs more than the whole set-up of an exact run;
@@ -123,3 +140,11 @@ def test_numpy_stays_out_of_the_per_point_paths():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"per_point": False, "scan": True}
+
+
+def test_tables_from_the_threshold_up_load_numpy_but_not_numpy_random():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LARGE_TABLE_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"check": True, "numpy.random": False}

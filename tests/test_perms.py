@@ -234,6 +234,89 @@ def test_random_table_budget():
     assert exc.value.refused == 1 << 25
 
 
+# --- large tables: drawn and checked in numpy, the same as below the threshold ---
+
+
+def _numpy_shuffled(seed, size):
+    return list(perms._swapped_range(perms._shuffle_swaps(seed, size)))
+
+
+def _python_shuffled(seed, size):
+    table = list(range(size))
+    random.Random(seed).shuffle(table)
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, 5, -7, 2 ** 40 + 3, "abc"])
+def test_the_numpy_draw_equals_random_shuffle_at_every_size(seed):
+    for bits in range(17):
+        assert _numpy_shuffled(seed, 1 << bits) == _python_shuffled(seed, 1 << bits), bits
+
+
+@pytest.mark.parametrize("draw_words", [1, 5, 64])
+def test_the_numpy_draw_carries_words_across_chunks(monkeypatch, draw_words):
+    # runs of steps that span many chunks, and chunks that span runs
+    monkeypatch.setattr(perms, "_DRAW_WORDS", draw_words)
+    for seed, size in ((1, 2), (2, 3), (3, 100), (4, 1 << 10), (5, 5000)):
+        assert _numpy_shuffled(seed, size) == _python_shuffled(seed, size)
+
+
+@pytest.mark.parametrize("seed, n, w, digest", [
+    (3, 6, 3, "daa69ee5dc7589665d67760b96d7e262eb684a428ddb8ba85408b43fe7e8c6ab"),
+    (11, 5, 4, "ebcc3d5b24267a7a9989b9d92caade86859c85a5cd641b7c779f3016f10a5c46"),
+])
+def test_large_random_table_digests_are_pinned(seed, n, w, digest):
+    # both tables are drawn in numpy; the digests are random.shuffle's
+    assert 1 << n * w >= perms._NUMPY_TABLE_SIZE
+    assert random_table(seed, n, w).digest() == digest
+
+
+def _table_fault(entries, bits):
+    # no pytest.raises: its ExceptionInfo, kept in this frame, would keep
+    # the fault walk's frame and its dict of every entry alive
+    try:
+        PermutationSpec.explicit(entries, bits, 1)
+    except NotAPermutationError as exc:
+        return str(exc), exc.witness
+    raise AssertionError("the table was accepted")
+
+
+@pytest.mark.parametrize("bits", [18, 19])
+@pytest.mark.parametrize("fault", ["early repeat", "late repeat", "size", "2^64 - 1",
+                                   "not an int"])
+def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, fault):
+    size = 1 << bits
+    assert size >= perms._NUMPY_TABLE_SIZE
+    entries = list(range(size))
+    if fault == "early repeat":
+        entries[7] = 2
+    elif fault == "late repeat":
+        entries[size - 2] = size - 1
+    elif fault == "size":
+        entries[size // 3] = size
+    elif fault == "2^64 - 1":  # numpy would read it as index -1
+        entries[size // 3] = 2 ** 64 - 1
+    else:
+        entries[size - 1] = float(size - 1)
+    covers, checked = perms._covers_range, []
+    monkeypatch.setattr(perms, "_covers_range",
+                        lambda table: checked.append(len(table)) or covers(table))
+    found = _table_fault(entries, bits)
+    # an entry no array("Q") holds is named before either check runs
+    assert checked == ([] if fault == "not an int" else [size])
+    monkeypatch.setattr(perms, "_NUMPY_TABLE_SIZE", 2 * size)  # the bytearray path
+    assert _table_fault(entries, bits) == found
+    expected = {
+        "early repeat": ("inputs 0x2 and 0x7 map to the same output 0x2", (2, 7)),
+        "late repeat": (f"inputs {size - 2:#x} and {size - 1:#x} map to the same "
+                        f"output {size - 1:#x}", (size - 2, size - 1)),
+        "size": (f"table value {size:#x} out of range", None),
+        "2^64 - 1": ("table value 0xffffffffffffffff out of range", None),
+        "not an int": (f"table value {float(size - 1)!r} is not an int", None),
+    }
+    assert found == expected[fault]
+
+
 def test_explicit_table_rejects_non_bijection_with_witness():
     table = list(range(16))
     table[3] = 5
