@@ -181,19 +181,23 @@ def fattest_side(by_value, q: int) -> tuple[int, ...]:
     return pad_side(ranked[:q], q)
 
 
-def slice_bound(sizes, q: int) -> int:
+def slice_bound(sizes, q: int, floor: int = 0) -> int:
     """The most points a q-box can keep of a point set whose slice sizes,
     one iterable per coordinate, are ``sizes`` (say, :func:`slice_sizes`
     values): a side keeps at most its coordinate's q largest slices, so
     the least, over the coordinates, of those q sizes summed. No
     coordinate keeps fewer than min(q, points), so ``sizes`` is read only
-    until one does."""
+    until one does. A caller that only asks whether the bound beats
+    ``floor`` may pass it: reading then also stops at a coordinate that
+    keeps at most ``floor`` points, and such a result is at most
+    ``floor`` but may not be the least."""
     bound = math.inf
+    stop = max(q, floor)
     for s in sizes:
         top = sum(sorted(s)[-q:])
         if top < bound:
             bound = top
-            if top <= q:
+            if top <= stop:
                 break
     return bound
 
@@ -403,25 +407,30 @@ def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
         raise
 
 
-def _image_points(spec: PermutationSpec, sides) -> list[int]:
+def _image_points(spec: PermutationSpec, sides, evaluate=None) -> list[int]:
     """The outputs of the spec on the product of ``sides`` (of any sizes),
-    unsorted: evaluated once per combination of the ``read_words`` sides
-    and XOR-ed with every combination of the ``free_words`` sides."""
+    unsorted: evaluated once per combination of the ``read_words`` sides,
+    by ``evaluate`` (default ``apply_packed``), and XOR-ed with every
+    combination of the ``free_words`` sides."""
     bases = xor_sides([0], sides, spec.n, spec.read_words)
-    return xor_sides(list(map(spec.apply_packed, bases)), sides, spec.n, spec.free_words)
+    outputs = list(map(evaluate or spec.apply_packed, bases))
+    return xor_sides(outputs, sides, spec.n, spec.free_words)
 
 
-def column_images(spec: PermutationSpec, prefix) -> list[list[int]]:
+def column_images(spec: PermutationSpec, prefix, evaluate=None) -> list[list[int]]:
     """For every value t of the last word, the outputs of the spec on
     ``prefix`` x {t}, unsorted: the columns whose unions over t in a side
     are the images of the boxes that extend the w-1 sides ``prefix``.
     The inputs of every column are built at once, t the most significant
-    word of the product, and the free-word offsets once. A free last word
+    word of the product, and evaluated in one pass by ``evaluate``, the
+    spec's map on a packed input (default ``apply_packed``; the exact scan
+    passes a lookup), the free-word offsets built once. A free last word
     gives column 0 alone: column t is its translate by t in that word."""
     if spec.w - 1 in spec.free_words:
-        return [_image_points(spec, prefix + ((0,),))]
+        return [_image_points(spec, prefix + ((0,),), evaluate)]
     sides, read = prefix + (range(1 << spec.n),), spec.read_words  # w-1 is read[-1]
-    outputs = list(map(spec.apply_packed, xor_sides([0], sides, spec.n, read[-1:] + read[:-1])))
+    inputs = xor_sides([0], sides, spec.n, read[-1:] + read[:-1])
+    outputs = list(map(evaluate or spec.apply_packed, inputs))
     size = len(outputs) >> spec.n
     columns = [outputs[i:i + size] for i in range(0, len(outputs), size)]
     if spec.free_words:

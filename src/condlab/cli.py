@@ -478,7 +478,8 @@ def build_parser() -> _Parser:
                         help="log2 of the side size")
     p_cond.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p_cond.add_argument("--budget", type=int,
-                        help="outer box budget (exact) or evaluations (heuristic)")
+                        help="exact: the most prefixes C(2^n,q)^(w-1) walked and boxes "
+                             "searched (default 10^6); heuristic: evaluations (default 200)")
     p_cond.add_argument("--checkpoint", help="checkpoint file path")
     p_cond.add_argument("--checkpoint-every", type=int)
     p_cond.set_defaults(handler=cmd_cond)

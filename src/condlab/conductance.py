@@ -2,25 +2,32 @@
 
 For side size q, the conductance degree is log_q of the largest
 |pi(U) ∩ V| over all pairs of q-boxes U, V; it always lies in [1, w].
-Exact mode walks every U, up to ``outer_budget`` boxes, and solves
-the inner maximization over V with a depth-first branch and bound of at
-most ``INNER_NODE_BUDGET`` nodes: a partial box is pruned when the
-per-coordinate top-q slice sums of the surviving points
-(``boxes.slice_bound``) cannot beat the incumbent.
+Exact mode walks every U and solves the inner maximization over V with
+a depth-first branch and bound of at most ``INNER_NODE_BUDGET`` nodes: a
+partial box is pruned when the per-coordinate top-q slice sums of the
+surviving points (``boxes.slice_bound``) cannot beat the incumbent.
+``outer_budget`` refuses a walk of more prefixes up front and caps the
+boxes it hands to the inner search.
 
 The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
 one run of ranks. ``boxes.column_images`` builds a prefix's inputs once and
 evaluates the map on prefix x {t} for each last-word value t, the column
 image I_t (a free last word: I_0 alone, whose translates are every I_t).
-The column bound b(t), the inner search's root bound of I_t, is
-``slice_bound`` over ``slice_sizes`` counts. A box's image is the union of
-its q columns, so |pi(U) ∩ V| <= the sum of b(t) over U's last side. Only
-the boxes whose sum beats the incumbent are visited, each re-checked when
-reached, and one cursor move crosses each run of skipped boxes; a visited
-box passes the union of its columns to the inner search. Once the
-incumbent reaches q^w, which no box can beat, the walk stops. In a prefix
-with two coinciding outputs (a map that is not a bijection) every box
-goes to ``image_of_box`` first, which names the first repeat.
+It reads a table's own array, and from the walk's second prefix on an
+algebraic kind's ``apply_packed`` over the whole domain, built once where
+that is cheaper than the evaluations left. Where 2^n is small, each column's
+slice counts, all coordinates packed in one int, give its root bound
+b(t), and a box's counts are the sum of its q columns' counts (the
+columns are disjoint), so |pi(U) ∩ V| <= the sum of b(t) over U's last
+side, and <= the root bound of the summed counts, which is the inner
+search's own root bound. A prefix whose q largest b(t) sum to at most
+the incumbent is jumped with one cursor move. In the others, only the
+boxes that beat the incumbent on both bounds are searched, each
+re-checked when reached, over the union of their columns; one cursor
+move crosses each run of skipped boxes. Once the incumbent reaches q^w,
+which no box can beat, the walk stops. In a prefix with two coinciding
+outputs (a map that is not a bijection) every box goes to
+``image_of_box`` first, which names the first repeat.
 
 The incumbent only ever moves on a strict improvement, a skipped box
 cannot strictly improve, and candidates are visited in lexicographic
@@ -49,7 +56,9 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -78,6 +87,8 @@ from .errors import BudgetError, CondlabError, RangeError, ShapeError
 from .perms import PermutationSpec, parse_hex
 
 INNER_NODE_BUDGET = 10 ** 7
+LOOKUP_BITS = 18  # the widest domain an exact scan evaluates into one list
+COUNT_TABLE_BYTES = 1 << 23  # the largest packed slice counts an exact scan tabulates
 
 
 def degree_from_count(q: int, count: int, w: int) -> float:
@@ -245,6 +256,50 @@ def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sid
     )
 
 
+def _packed_counts(n: int, q: int, w: int):
+    """How the exact scan keeps slice counts, or None where its table would
+    pass ``COUNT_TABLE_BYTES``: (tally, view, fields). The counts of all w
+    coordinates of a point set sit in one int, the count of value v of word
+    j in field j * 2^n + v, each field of the fewest bytes that hold the q^w
+    points of a box image. ``tally(points)`` sums a table of each point's
+    fields, so the counts of disjoint point sets add as ints; ``view``
+    turns such an int into a sequence of counts, and ``fields`` are the
+    slices of it that hold one coordinate each, the last word first (it
+    alone differs between the columns of a free last word), as
+    ``slice_bound`` reads them."""
+    code = next(c for c in "BHIQ" if q ** w < 1 << 8 * array(c).itemsize)
+    size, width = 1 << n, array(code).itemsize
+    nbytes = w * width * size
+    if nbytes << n * w > COUNT_TABLE_BYTES:
+        return None
+    per_word = [[1 << 8 * width * (j * size + v) for v in range(size)] for j in range(w)]
+    unit = list(map(sum, itertools.product(*per_word)))  # in packed point order
+
+    def tally(points):
+        return sum(map(unit.__getitem__, points))
+
+    def view(packed):
+        counts = packed.to_bytes(nbytes, sys.byteorder)
+        return array(code, counts) if width > 1 else counts
+
+    return tally, view, [slice(j * size, (j + 1) * size) for j in reversed(range(w))]
+
+
+def _scan_evaluator(spec: PermutationSpec, q: int, prefixes: int):
+    """The map an exact scan of an algebraic kind reads its columns through
+    when ``prefixes`` are left to walk: a lookup into ``apply_packed`` over
+    all 2^(nw) inputs when those are fewer than the evaluations the
+    prefixes would make and at most 2^LOOKUP_BITS, else ``apply_packed``
+    itself. A prefix evaluates the map once per combination of its read
+    sides, and once more per last-word value when the last word is read."""
+    free_last = spec.w - 1 in spec.free_words
+    per_prefix = q ** (len(spec.read_words) - (not free_last)) << (0 if free_last else spec.n)
+    size = 1 << spec.domain_bits
+    if spec.domain_bits <= LOOKUP_BITS and size < prefixes * per_prefix:
+        return list(map(spec.apply_packed, range(size))).__getitem__
+    return spec.apply_packed
+
+
 def exact_conductance(spec: PermutationSpec, q: int, *,
                       outer_budget: int = DEFAULT_BOX_BUDGET,
                       threads: int = 1,
@@ -255,35 +310,52 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     accepted for interface symmetry and ignored.
 
     Boxes are walked by prefix (their first w-1 sides). The column images
-    I_t = pi(prefix x {t}), built from one set of inputs per prefix, bound
-    a box by the sum of their root bounds b(t) over its last side; only
-    boxes whose sum beats the incumbent are visited, re-checked when
-    reached, and searched over the union of their columns. The walk stops
-    once the incumbent is q^w. Where a prefix's columns repeat an output,
-    ``image_of_box`` sees each box first and refuses the first repeat.
+    I_t = pi(prefix x {t}) are built from one set of inputs per prefix and
+    each is bounded by its root bound b(t). A prefix whose q largest b(t)
+    sum to at most the incumbent is jumped whole. In the others, a box
+    whose b(t) sum beats the incumbent is bounded again from its columns'
+    slice counts, which equals the inner search's root bound, and only a
+    box that beats the incumbent there too is searched, over the union of
+    its columns. The walk stops once the incumbent is q^w. Where a
+    prefix's columns repeat an output, ``image_of_box`` sees each box
+    first and refuses the first repeat. A table's columns are read from
+    its array, and an algebraic kind's, from the second prefix on, through
+    ``_scan_evaluator``.
+
+    ``outer_budget`` refuses the search up front when its C(2^n, q)^(w-1)
+    prefixes (at w = 1, its boxes) are over it, naming its C(2^n, q)^w
+    boxes; otherwise it caps the boxes this session searches, and the box
+    past it is refused as the inner search's node budget refuses one.
 
     With a ``checkpoint_path`` the search resumes from an existing file
     and writes one every ``checkpoint_every`` boxes of this session (0:
-    none), skipped boxes included, at the end, and at the failing box when
-    the inner search runs out of nodes. A checkpoint holds the rank of the
-    next box as its cursor, and its ``boxes_examined`` is that rank; a
-    file whose cursor is out of range, whose count differs from the
-    cursor's rank, or whose incumbent is not empty at box 0 or past it
-    does not replay is refused."""
+    none), skipped boxes included, at the end, and at the refused box when
+    either budget runs out. A checkpoint holds the rank of the next box as
+    its cursor, and its ``boxes_examined`` is that rank; a file whose
+    cursor is out of range, whose count differs from the cursor's rank, or
+    whose incumbent is not empty at box 0 or past it does not replay is
+    refused."""
     del threads
     t0 = time.monotonic()
     n, w = spec.n, spec.w
     _check_box_params(n, q, w)
     if checkpoint_every < 0:
         raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
-    total = check_box_count(n, q, w, outer_budget, "exact search", "outer boxes")
+    try:
+        check_box_count(n, q, max(w - 1, 1), outer_budget)
+    except BudgetError:
+        check_box_count(n, q, w, outer_budget, "exact search", "outer boxes")
+        raise
     lasts = list(itertools.combinations(range(1 << n), q))
     radix = len(lasts)
+    prefixes = radix ** (w - 1)
+    total = prefixes * radix
+    digest = spec.digest() if checkpoint_path else None  # once for every write
     start = 0
     best, best_u, best_v = -1, None, None
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = read_checkpoint(checkpoint_path)
-        if ck["spec"] != spec.digest() or ck["q"] != q or len(ck["cursor"]) != w:
+        if ck["spec"] != digest or ck["q"] != q or len(ck["cursor"]) != w:
             raise CondlabError(
                 f"checkpoint {checkpoint_path} belongs to a different search"
             )
@@ -302,49 +374,90 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     # a checkpoint falls due every checkpoint_every ranks of this session
     rank = start
     due = start + checkpoint_every if checkpoint_path and checkpoint_every else math.inf
+    searched = 0  # boxes this session hands to the inner search
 
     def advance(to):
         """Move the cursor to rank ``to``, writing the checkpoints a scan of
         every box would write on the way."""
         nonlocal rank, due
         while due <= to:
-            write_checkpoint(checkpoint_path, spec, q, due, best, best_u, best_v)
+            write_checkpoint(checkpoint_path, spec, q, due, best, best_u, best_v, digest)
             due += checkpoint_every
         rank = to
 
-    def bound(column):
-        return slice_bound((slice_sizes(column, n, w, j).values() for j in range(w)), q)
-
+    size = 1 << n
     translate = w - 1 in spec.free_words  # column_images gives column 0 alone
+    packed = _packed_counts(n, q, w)
+    tally, view, fields = packed or (None,) * 3
+    lead, jumped = 0, False  # the field tried first after a jumped prefix
+
+    def jumps(bounds):
+        """True when the q largest b(t) cannot beat the incumbent."""
+        return not collides and sum(sorted(bounds)[-q:]) <= best
+
+    # a table's own array from the start; an algebraic kind's lookup is chosen
+    # at the second prefix, so a scan that stops in its first never builds one
+    evaluate = spec.table.__getitem__ if spec.table is not None else None
 
     # the last side is the least significant digit of the rank, so the
     # boxes sharing their first w-1 sides (a prefix) are one run of ranks
-    for prefix in enumerate_qboxes_range(lasts, w - 1, start // radix, total // radix):
+    for prefix in enumerate_qboxes_range(lasts, w - 1, start // radix, prefixes):
         if best == q ** w:
             break  # no box can strictly improve on a full one
         first = rank % radix  # a resumed run starts inside its first prefix
         base = rank - first
-        columns = column_images(spec, prefix)
+        if evaluate is None and rank > start:
+            evaluate = _scan_evaluator(spec, q, prefixes - base // radix)
+        columns = column_images(spec, prefix, evaluate)
         # two outputs coincide (a map that is not a bijection)
         collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
-        # b(t) for every t, each box's b(t) summed in rank order (lasts are combinations)
-        bounds = list(map(bound, columns)) * (1 << n if translate else 1)
+        # b(t) for every t, from packed counts where they fit, else by slice_sizes
+        if packed:
+            counts = list(map(tally, columns))
+            views = list(map(view, counts))
+            bounds = None
+            if jumped:  # after a jump, one coordinate's tops may well jump this prefix
+                bounds = [slice_bound([v[fields[lead]]], q) for v in views]
+                if not jumps(bounds):
+                    bounds, lead = None, (lead + 1) % w
+            if bounds is None:
+                bounds = [slice_bound(map(v.__getitem__, fields), q) for v in views]
+        else:
+            bounds = [slice_bound((slice_sizes(column, n, w, j).values() for j in range(w)), q)
+                      for column in columns]
+        bounds *= size if translate else 1
+        jumped = jumps(bounds)
+        if jumped:
+            advance(base + radix)  # no box of the prefix can beat the incumbent
+            continue
+        if packed and translate:  # column t is column 0 translated by t
+            counts = [tally([y ^ t for y in columns[0]]) for t in range(size)]
+        # each box's b(t) summed, in rank order (lasts are combinations)
         sums = list(map(sum, itertools.combinations(bounds, q)))
         for k in [k for k in range(first, radix) if collides or sums[k] > best]:
             last = lasts[k]
             if collides:
                 advance(base + k)
                 image_of_box(spec, QBox(prefix + (last,), n))  # refuses a repeat, naming it
-            if sums[k] <= best:
-                continue  # the incumbent has risen past it
+            # a box's counts are its columns' summed, and their bound its root bound
+            if sums[k] <= best or packed and slice_bound(
+                    map(view(sum([counts[t] for t in last])).__getitem__, fields), q, best) <= best:
+                continue  # cannot strictly improve, or the incumbent has risen past it
             advance(base + k)
             try:
+                if searched == outer_budget:
+                    raise BudgetError(
+                        f"exact search would search more than {outer_budget} outer boxes, "
+                        f"over the budget of {outer_budget}; it stopped at box {rank} of {total}",
+                        refused=searched + 1)
+                searched += 1
                 count, sides = _best_box_bnb(
                     [y ^ t for t in last for y in columns[0]] if translate
                     else [y for t in last for y in columns[t]], n, w, q, incumbent=best)
             except BudgetError:
                 if checkpoint_path:
-                    write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+                    write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v,
+                                     digest)
                 raise
             if sides is not None:
                 best, best_u, best_v = count, prefix + (last,), sides
@@ -352,7 +465,7 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     advance(total)
 
     if checkpoint_path:
-        write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v)
+        write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v, digest)
     return _report(spec, q, "exact", best, best_u, best_v, rank, t0)
 
 
@@ -568,12 +681,14 @@ def _sides_from_text(text: str):
 
 
 def write_checkpoint(path, spec: PermutationSpec, q: int, next_rank: int,
-                     max_count: int, u_sides, v_sides) -> None:
+                     max_count: int, u_sides, v_sides, digest: str | None = None) -> None:
+    """Write one checkpoint; ``digest``, when given, is ``spec.digest()``,
+    which an exact search computes once for all its writes."""
     cursor = rank_to_digits(next_rank, comb(1 << spec.n, q), spec.w)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write("condlab-ckpt v1\n")
-        fh.write(f"spec={spec.digest()}\n")
+        fh.write(f"spec={digest or spec.digest()}\n")
         fh.write(f"q={q}\n")
         fh.write(f"cursor=({','.join(str(i) for i in cursor)})\n")
         fh.write(f"max_count={max_count}\n")

@@ -175,6 +175,53 @@ def test_cli_refuses_an_unprintable_outer_count_quickly(q):
     assert "refused count" not in proc.stderr and proc.stdout == ""
 
 
+def test_a_prefix_count_over_the_budget_is_refused_naming_the_boxes():
+    # pi1 n=4 q=3 walks C(16,3)^2 = 313,600 prefixes: one less refuses it
+    # up front, as the box count did, and names its 1.76e8 boxes
+    with pytest.raises(BudgetError) as exc:
+        exact_conductance(PermutationSpec.pi1(4), 3, outer_budget=313_599)
+    assert exc.value.refused == 560 ** 3
+    assert str(exc.value) == ("exact search needs C(2^4,3)^3 = 175616000 outer boxes, "
+                              "over the budget of 313599; reducing n would fit")
+    with pytest.raises(BudgetError, match=r"C\(2\^2,2\)\^3 = 216 outer boxes, over the budget "
+                                          "of 35;"):
+        exact_conductance(PermutationSpec.pi1(2), 2, outer_budget=35)
+    # 36 prefixes fit a budget of 36; pi1 n=2 q=2 then searches box 0 alone
+    assert exact_conductance(PermutationSpec.pi1(2), 2, outer_budget=36).max_count == 8
+
+
+def test_a_zero_budget_is_refused_on_the_cli(capsys):
+    assert cli_main(["cond", "--spec", "pi1", "--n", "2", "--q", "2", "--budget", "0"]) == 2
+    assert capsys.readouterr().err == ("budget refused: exact search needs C(2^2,2)^3 = 216 "
+                                       "outer boxes, over the budget of 0 (refused count: 216)\n")
+
+
+def test_searched_boxes_past_the_budget_are_refused_at_a_checkpoint(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    # random_table(3, 2, 3) at q=2 walks 36 prefixes and searches 59 boxes
+    spec = random_table(3, 2, 3)
+    ranks, searched, real_inner = [0], [], conductance._best_box_bnb
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "write_checkpoint", lambda *args: ranks.append(args[3]))
+        patch.setattr(conductance, "_best_box_bnb",
+                      lambda *args, **kw: searched.append(ranks[-1]) or real_inner(*args, **kw))
+        full = exact_conductance(spec, 2, checkpoint_path=str(tmp_path / "each.ckpt"),
+                                 checkpoint_every=1)
+    assert len(searched) == 59
+    path = str(tmp_path / "refused.ckpt")
+    with pytest.raises(BudgetError) as exc:
+        exact_conductance(spec, 2, outer_budget=40, checkpoint_path=path)
+    # the checkpoint holds the 41st searched box, not yet searched
+    assert read_checkpoint(path)["boxes_examined"] == searched[40]
+    assert exc.value.refused == 41
+    assert str(exc.value) == ("exact search would search more than 40 outer boxes, over the "
+                              f"budget of 40; it stopped at box {searched[40]} of 216")
+    resumed = exact_conductance(spec, 2, checkpoint_path=path)
+    assert resumed.to_json_dict() | {"wall_seconds": 0} == full.to_json_dict() | {
+        "wall_seconds": 0}
+
+
 class _Interrupted(Exception):
     pass
 
@@ -655,6 +702,23 @@ def test_exact_reports_at_n3_q3_are_pinned(kind):
                       "q_is_power_of_two": False}
 
 
+@pytest.mark.parametrize("make_spec", [lambda: PermutationSpec.pi1(3),
+                                       lambda: PermutationSpec.pi3(2),
+                                       lambda: PermutationSpec.piw(2, 4),
+                                       lambda: random_table(5, 3, 2)],
+                         ids=["pi1", "pi3", "piw", "random"])
+def test_the_scan_without_packed_counts_gives_the_same_reports(monkeypatch, make_spec):
+    from condlab import conductance
+
+    # past COUNT_TABLE_BYTES (large 2^n) the column bounds come from
+    # slice_sizes and no box is bounded by its summed counts
+    spec = make_spec()
+    q = 3
+    packed = exact_conductance(spec, q).to_json_dict() | {"wall_seconds": 0}
+    monkeypatch.setattr(conductance, "COUNT_TABLE_BYTES", 0)
+    assert exact_conductance(spec, q).to_json_dict() | {"wall_seconds": 0} == packed
+
+
 def test_jumped_prefixes_write_the_checkpoints_of_a_box_by_box_scan(tmp_path, monkeypatch):
     from condlab import conductance
 
@@ -776,12 +840,15 @@ def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
 
 # --- the column layer: one search, however the columns are built -----------
 
-# from the engine that built each column's inputs once per last-word value
-# and bounded columns over slices lists: (inner searches, map evaluations,
-# sha256 of the checkpoint bytes written every 7 boxes)
+# (inner searches, apply_packed calls, sha256 of the checkpoint bytes
+# written every 7 boxes). The bytes are those of the engine that built each
+# column's inputs once per last-word value and bounded columns over slices
+# lists; the counts are this engine's, which searches only the boxes whose
+# summed column counts beat the incumbent and reads a table's columns
+# straight from its array
 _PINNED_TABLE_SEARCH = {
-    987: (1372, 25088, "3a838bfac649bdc6199c8dc26a8fe579691d2e908867cd85917b434d604b58e8"),
-    5: (1405, 25088, "d3b92f78d106be6f5271facc4f2be667c3b74bb64e9fdbdddeffbfe4feb2a571"),
+    987: (153, 0, "3a838bfac649bdc6199c8dc26a8fe579691d2e908867cd85917b434d604b58e8"),
+    5: (120, 0, "d3b92f78d106be6f5271facc4f2be667c3b74bb64e9fdbdddeffbfe4feb2a571"),
 }
 
 
@@ -861,3 +928,15 @@ def test_resume_between_two_candidate_boxes_equals_the_full_run(tmp_path, monkey
     assert [event[1:] for event in events if event[0] == "write"] == [
         write for write in full_writes if write[0] > cursor]
     assert [e[0] for e in events].count("inner") == sum(s >= cursor for s in searched)
+
+
+def test_the_cheap_sweep_equals_the_engine_before_the_prefix_jump():
+    # tests/exact_sweep.py --cheap: reports, refusals and checkpoint bytes,
+    # plain, every 7 boxes, and interrupted and resumed, on 126 shapes; the
+    # sha256 of its output as the engine before the prefix jump, the count
+    # bound and the lookups printed it
+    import exact_sweep
+
+    text = "".join(f"{line}\n" for line in exact_sweep.lines(cheap=True))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "830a06a40d4d307516bca5c7bb1895d53bd58db7daffcfcdd55d48f432eb2d96")
