@@ -28,7 +28,6 @@ from .conductance import (
     degree_from_count,
     exact_conductance,
     heuristic_lower_bound,
-    replay_witness,
 )
 from .condenser import (
     CondenserProfile,

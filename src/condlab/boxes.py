@@ -11,13 +11,13 @@ words with it: :func:`slices`, which groups points by the value of one
 coordinate, :func:`slice_sizes`, which only counts them, and the update
 loops of :func:`greedy_box` and of ``condenser.decompose``, which read
 the other words of the points a swap or a cut moves. :func:`xor_sides`
-is the one place side values are put into them, at the same place,
-which builds a box's points, its image and the inputs of a prefix's
-column images (:func:`column_images`). Sides that must reach size q are
-filled by :func:`pad_side`, the lexicographically smallest completion,
-the densest side of one coordinate is :func:`fattest_side`, and
-:func:`slice_bound` is the one top-q slice bound, over slice sizes, on
-what a q-box keeps of a point set.
+is the one place side values are put into them, at the same place. One
+evaluation of a product of sides builds both a box's image and a
+prefix's last-word columns (:func:`column_images`), cut from runs of its
+outputs. Sides that must reach size q are filled by :func:`pad_side`,
+the lexicographically smallest completion, the densest side of one
+coordinate is :func:`fattest_side`, and :func:`slice_bound` is the one
+top-q slice bound, over slice sizes, on what a q-box keeps of a point set.
 Box counts meet a caller's budget here (:func:`check_box_count`), point
 counts the fixed ``POINT_BUDGET`` (:func:`check_point_count`), and
 :func:`random_box` is the one seeded draw.
@@ -411,8 +411,13 @@ def _image_points(spec: PermutationSpec, sides, evaluate=None) -> list[int]:
     """The outputs of the spec on the product of ``sides`` (of any sizes),
     unsorted: evaluated once per combination of the ``read_words`` sides,
     by ``evaluate`` (default ``apply_packed``), and XOR-ed with every
-    combination of the ``free_words`` sides."""
-    bases = xor_sides([0], sides, spec.n, spec.read_words)
+    combination of the ``free_words`` sides. A read last word comes first
+    in the product, so the outputs of each of its values form one run; a
+    free last word leaves the plain product order."""
+    read = spec.read_words
+    if spec.w - 1 in read:  # it is read[-1]
+        read = read[-1:] + read[:-1]
+    bases = xor_sides([0], sides, spec.n, read)
     outputs = list(map(evaluate or spec.apply_packed, bases))
     return xor_sides(outputs, sides, spec.n, spec.free_words)
 
@@ -421,22 +426,15 @@ def column_images(spec: PermutationSpec, prefix, evaluate=None) -> list[list[int
     """For every value t of the last word, the outputs of the spec on
     ``prefix`` x {t}, unsorted: the columns whose unions over t in a side
     are the images of the boxes that extend the w-1 sides ``prefix``.
-    The inputs of every column are built at once, t the most significant
-    word of the product, and evaluated in one pass by ``evaluate``, the
-    spec's map on a packed input (default ``apply_packed``; the exact scan
-    passes a lookup), the free-word offsets built once. A free last word
-    gives column 0 alone: column t is its translate by t in that word."""
+    They are cut from one :func:`_image_points` call over ``prefix`` x
+    {0,1}^n, whose ``evaluate`` the exact scan passes as a lookup. A free
+    last word gives column 0 alone: column t is its translate by t in that
+    word."""
     if spec.w - 1 in spec.free_words:
         return [_image_points(spec, prefix + ((0,),), evaluate)]
-    sides, read = prefix + (range(1 << spec.n),), spec.read_words  # w-1 is read[-1]
-    inputs = xor_sides([0], sides, spec.n, read[-1:] + read[:-1])
-    outputs = list(map(evaluate or spec.apply_packed, inputs))
+    outputs = _image_points(spec, prefix + (range(1 << spec.n),), evaluate)
     size = len(outputs) >> spec.n
-    columns = [outputs[i:i + size] for i in range(0, len(outputs), size)]
-    if spec.free_words:
-        offsets = xor_sides([0], sides, spec.n, spec.free_words)
-        columns = [[y ^ o for y in column for o in offsets] for column in columns]
-    return columns
+    return [outputs[i:i + size] for i in range(0, len(outputs), size)]
 
 
 def intersection_count(points: PointSet, box: QBox) -> int:

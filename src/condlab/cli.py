@@ -419,11 +419,14 @@ def cmd_experiment(args) -> int:
 # --- parser wiring ------------------------------------------------------------
 
 
-def _add_common(p, *, n=True, w=True, seed=False, threads=False, out=False):
+def _add_common(p, *, n=True, w=True, seed=False, threads=False, out=False, side=False):
     if n:
         p.add_argument("--n", type=int, required=True, help="field degree")
     if w:
         p.add_argument("--w", type=int, help="number of words")
+    if side:
+        p.add_argument("--q", type=int, help="side size")
+        p.add_argument("--alpha-n", type=float, dest="alpha_n", help="log2 of the side size")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
     if threads:
@@ -472,10 +475,7 @@ def build_parser() -> _Parser:
 
     p_cond = sub.add_parser("cond", help="conductance search")
     _add_spec_args(p_cond)
-    _add_common(p_cond, n=False, seed=True, threads=True, out=True)
-    p_cond.add_argument("--q", type=int, help="side size")
-    p_cond.add_argument("--alpha-n", type=float, dest="alpha_n",
-                        help="log2 of the side size")
+    _add_common(p_cond, n=False, seed=True, threads=True, out=True, side=True)
     p_cond.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p_cond.add_argument("--budget", type=int,
                         help="exact: the most prefixes C(2^n,q)^(w-1) walked and boxes "
@@ -486,9 +486,7 @@ def build_parser() -> _Parser:
 
     p_dec = sub.add_parser("decompose", help="partition a box image")
     _add_spec_args(p_dec)
-    _add_common(p_dec, n=False, seed=True, out=True)
-    p_dec.add_argument("--q", type=int)
-    p_dec.add_argument("--alpha-n", type=float, dest="alpha_n")
+    _add_common(p_dec, n=False, seed=True, out=True, side=True)
     p_dec.add_argument("--eps1", type=float)
     p_dec.add_argument("--eps2", type=float)
     p_dec.add_argument("--eps3", type=float)
@@ -500,18 +498,14 @@ def build_parser() -> _Parser:
     p_prof = sub.add_parser("condenser-profile",
                             help="decomposition statistics over random boxes")
     _add_spec_args(p_prof)
-    _add_common(p_prof, n=False, seed=True, threads=True, out=True)
-    p_prof.add_argument("--q", type=int)
-    p_prof.add_argument("--alpha-n", type=float, dest="alpha_n")
+    _add_common(p_prof, n=False, seed=True, threads=True, out=True, side=True)
     p_prof.add_argument("--eps1", type=float)
     p_prof.add_argument("--eps2", type=float)
     p_prof.add_argument("--trials", type=int, required=True)
     p_prof.set_defaults(handler=cmd_condenser_profile)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bound sheet")
-    _add_common(p_bounds, out=True)
-    p_bounds.add_argument("--q", type=int)
-    p_bounds.add_argument("--alpha-n", type=float, dest="alpha_n")
+    _add_common(p_bounds, out=True, side=True)
     p_bounds.add_argument("--eps1", type=float)
     p_bounds.add_argument("--eps2", type=float)
     p_bounds.add_argument("--c", type=float)
@@ -519,11 +513,9 @@ def build_parser() -> _Parser:
 
     p_expm = sub.add_parser("experiment",
                             help="exact conductance of seeded random permutations")
-    _add_common(p_expm, w=False, seed=True, threads=True)
+    _add_common(p_expm, w=False, seed=True, threads=True, side=True)
     p_expm.add_argument("--w-list", default="2,3",
                         help="comma-separated word counts")
-    p_expm.add_argument("--q", type=int)
-    p_expm.add_argument("--alpha-n", type=float, dest="alpha_n")
     p_expm.add_argument("--count", type=int, default=20,
                         help="random permutations per w")
     p_expm.add_argument("--eps1", type=float, default=0.5)

@@ -13,8 +13,10 @@ per-coordinate min-entropy boost of the uniform distribution on C_i, and
 
 The residual bound |R0| <= 2^((1-eps3)*alpha_n*w) is conditional: it
 needs every q-box V to satisfy |S ∩ V| < 2^(alpha_n*w*(1-eps1-eps2-eps3-
-1/alpha_n)). ``verify_converse_bounds`` checks that precondition with the
-exact inner search when it can and otherwise marks the bound unverified.
+1/alpha_n)). ``verify_converse_bounds`` checks that precondition on the
+exact maximum, certified by a greedy box that meets the root slice bound
+or else found by the exact inner search, and otherwise marks the bound
+unverified.
 
 The scan order of slices is pinned (coordinate ascending, then value
 ascending) so reference traces are reproducible. Size-versus-threshold comparisons
@@ -29,13 +31,13 @@ import heapq
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .boxes import (PointSet, _check_box_params, image_of_box, random_box, slice_sizes,
-                    slices, word_field)
+from .boxes import (PointSet, _check_box_params, greedy_box, image_of_box, intersection_count,
+                    random_box, slice_bound, slice_sizes, slices, word_field)
 from .conductance import best_V_for_U
 from .errors import BudgetError, RangeError, ShapeError
-from .perms import PermutationSpec
+from .perms import PermutationSpec, parse_hex
 
 
 # --- exact integer-versus-2^exponent comparisons ---------------------------
@@ -204,10 +206,18 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Decomposition":
+        """A ShapeError for a point or slice-log value that is not plain hex
+        (see ``perms.parse_hex``) or a point outside the shape."""
         n, w = d["n"], d["w"]
 
+        def hex_value(text):
+            try:
+                return parse_hex(text)
+            except (AttributeError, ValueError):  # AttributeError: not a str
+                raise ShapeError(f"{text!r} is not a hex value") from None
+
         def ps(items):
-            return PointSet((int(h, 16) for h in items), n, w)
+            return PointSet(map(hex_value, items), n, w)
 
         return cls(
             parts=tuple(ps(part) for part in d["parts"]["C"]),
@@ -219,7 +229,7 @@ class Decomposition:
             eps1=d["eps1"],
             eps2=d["eps2"],
             slice_log=tuple(
-                (it, coord, int(value, 16), size)
+                (it, coord, hex_value(value), size)
                 for it, coord, value, size in d["slice_log"]
             ),
         )
@@ -357,16 +367,7 @@ class ConverseReport:
                 "max_box_intersection": self.max_box_intersection,
                 "exponent": self.precondition_exponent,
             },
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "holds": c.holds,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -374,11 +375,13 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     """Check the residual bounds of a decomposition.
 
     The R0 bound needs the exact maximum of |S ∩ V| over q-boxes V for the
-    source set S, which :func:`best_V_for_U` computes under the inner
-    search's node budget. The precondition stays unchecked, and the R0 bound
-    unverified, when q is not an integer, when q exceeds the alphabet size
-    2^n (no q-box exists), when S is empty, or when the search exceeds its
-    budget.
+    source set S. The box of :func:`~condlab.boxes.greedy_box`, replayed on
+    S, certifies it when its count meets S's root bound (the top-q slice
+    bound over all w coordinates), which no q-box passes; otherwise
+    :func:`best_V_for_U` computes it under the inner search's node budget.
+    The precondition stays unchecked, and the R0 bound unverified, when q is
+    not an integer, when q exceeds the alphabet size 2^n (no q-box exists),
+    when S is empty, or when the search exceeds its budget.
     """
     if eps3 < 0:
         raise RangeError(f"eps3 must be nonnegative, got {eps3}")
@@ -392,8 +395,11 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     if isinstance(dec.q, int) and dec.q > 1 << dec.n:
         note += f" (q={dec.q} exceeds the alphabet size 2^{dec.n}; no q-box exists)"
     elif isinstance(dec.q, int) and len(source):
+        q = dec.q
+        greedy = intersection_count(source, greedy_box(source, q)[0])
+        root = slice_bound([slice_sizes(source.points, dec.n, w, j).values() for j in range(w)], q)
         try:
-            _, max_int = best_V_for_U(source, dec.q)
+            max_int = greedy if greedy == root else best_V_for_U(source, q)[1]
         except BudgetError as exc:
             note += f" ({exc})"
         else:

@@ -10,12 +10,12 @@ surviving points (``boxes.slice_bound``) cannot beat the incumbent.
 boxes it hands to the inner search.
 
 The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
-one run of ranks. ``boxes.column_images`` builds a prefix's inputs once and
-evaluates the map on prefix x {t} for each last-word value t, the column
-image I_t (a free last word: I_0 alone, whose translates are every I_t).
-It reads a table's own array, and from the walk's second prefix on an
-algebraic kind's ``apply_packed`` over the whole domain, built once where
-that is cheaper than the evaluations left. Where 2^n is small, each column's
+one run of ranks. ``boxes.column_images`` cuts the column images I_t,
+the map on prefix x {t} for each last-word value t, from one evaluation
+(a free last word: I_0 alone, whose translates are every I_t). It reads a
+table's own array, and from the walk's second prefix on a lookup of an
+algebraic kind's ``apply_packed`` over the whole domain where nw is at
+most ``LOOKUP_BITS``. Where 2^n is small, each column's
 slice counts, all coordinates packed in one int, give its root bound
 b(t), and a box's counts are the sum of its q columns' counts (the
 columns are disjoint), so |pi(U) ∩ V| <= the sum of b(t) over U's last
@@ -52,6 +52,7 @@ extension and flagged in the report.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -124,44 +125,19 @@ class ConductanceReport:
         return self.q & (self.q - 1) == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "w": self.w,
-            "q": self.q,
-            "alpha": self.alpha,
-            "mode": self.mode,
-            "max_count": self.max_count,
-            "condd": self.condd,
-            "witness_u": [list(s) for s in self.witness_u.sides],
-            "witness_v": [list(s) for s in self.witness_v.sides],
-            "boxes_examined": self.boxes_examined,
-            "exhausted": self.exhausted,
-            "wall_seconds": self.wall_seconds,
-            "q_is_power_of_two": self.q_is_power_of_two,
-        }
+        """The fields in declaration order, a witness as a list of sides,
+        then ``q_is_power_of_two``."""
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = [list(s) for s in value.sides] if isinstance(value, QBox) else value
+        out["q_is_power_of_two"] = self.q_is_power_of_two
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConductanceReport":
-        return cls(
-            n=d["n"],
-            w=d["w"],
-            q=d["q"],
-            alpha=d["alpha"],
-            mode=d["mode"],
-            max_count=d["max_count"],
-            condd=d["condd"],
-            witness_u=QBox(tuple(tuple(s) for s in d["witness_u"]), d["n"]),
-            witness_v=QBox(tuple(tuple(s) for s in d["witness_v"]), d["n"]),
-            boxes_examined=d["boxes_examined"],
-            exhausted=d["exhausted"],
-            wall_seconds=d["wall_seconds"],
-        )
-
-
-def replay_witness(spec: PermutationSpec, report: ConductanceReport) -> int:
-    """Recompute |pi(witness_u) ∩ witness_v|; must equal max_count."""
-    img = image_of_box(spec, report.witness_u)
-    return intersection_count(img, report.witness_v)
+        return cls(**{f.name: QBox(tuple(map(tuple, d[f.name])), d["n"]) if f.type == "QBox"
+                      else d[f.name] for f in dataclasses.fields(cls)})
 
 
 # --- inner maximization: densest q-box over a point set -------------------
@@ -285,18 +261,12 @@ def _packed_counts(n: int, q: int, w: int):
     return tally, view, [slice(j * size, (j + 1) * size) for j in reversed(range(w))]
 
 
-def _scan_evaluator(spec: PermutationSpec, q: int, prefixes: int):
-    """The map an exact scan of an algebraic kind reads its columns through
-    when ``prefixes`` are left to walk: a lookup into ``apply_packed`` over
-    all 2^(nw) inputs when those are fewer than the evaluations the
-    prefixes would make and at most 2^LOOKUP_BITS, else ``apply_packed``
-    itself. A prefix evaluates the map once per combination of its read
-    sides, and once more per last-word value when the last word is read."""
-    free_last = spec.w - 1 in spec.free_words
-    per_prefix = q ** (len(spec.read_words) - (not free_last)) << (0 if free_last else spec.n)
-    size = 1 << spec.domain_bits
-    if spec.domain_bits <= LOOKUP_BITS and size < prefixes * per_prefix:
-        return list(map(spec.apply_packed, range(size))).__getitem__
+def _scan_evaluator(spec: PermutationSpec):
+    """The map an exact scan of an algebraic kind reads its columns through:
+    a lookup into ``apply_packed`` over all 2^(nw) inputs when nw is at
+    most ``LOOKUP_BITS``, else ``apply_packed`` itself."""
+    if spec.domain_bits <= LOOKUP_BITS:
+        return list(map(spec.apply_packed, range(1 << spec.domain_bits))).__getitem__
     return spec.apply_packed
 
 
@@ -407,7 +377,7 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
         first = rank % radix  # a resumed run starts inside its first prefix
         base = rank - first
         if evaluate is None and rank > start:
-            evaluate = _scan_evaluator(spec, q, prefixes - base // radix)
+            evaluate = _scan_evaluator(spec)
         columns = column_images(spec, prefix, evaluate)
         # two outputs coincide (a map that is not a bijection)
         collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
@@ -633,11 +603,9 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
         repetition_vac = not (1.0 <= repetition <= w)
 
     random_perm = 1.0 + math.log2(3 * n * w) / (alpha * n)
-    rp_ok = alpha <= 0.5 - 1.0 / (n * w)
-    rp_vac = not (1.0 <= random_perm <= w)
-
-    by_q = q ** (2 * w) * 4 <= 2 ** (n * w)
     by_alpha = alpha <= 0.5 - 1.0 / (n * w)
+    rp_vac = not (1.0 <= random_perm <= w)
+    by_q = q ** (2 * w) * 4 <= 2 ** (n * w)
 
     return BoundSheet(
         n=n,
@@ -652,7 +620,7 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
         repetition_bound=repetition,
         repetition_vacuous=repetition_vac,
         random_perm_bound=random_perm,
-        random_perm_precondition_ok=rp_ok,
+        random_perm_precondition_ok=by_alpha,
         random_perm_vacuous=rp_vac,
         precondition_by_alpha=by_alpha,
         precondition_by_q=by_q,

@@ -397,3 +397,60 @@ def test_composite_degree_note_on_stderr(capsys):
     assert "assume a prime degree" in captured.err
     assert run("perm", "verify", "--spec", "pi1", "--n", "3", "--w", "3") == 0
     assert "prime" not in capsys.readouterr().err
+
+
+def test_perm_verify_out_json(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run("perm", "verify", "--spec", "bothmix", "--n", "2", "--w", "3",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().out == "bijective=no witness=0x11,0x14 checked=21\n"
+    payload = json.loads(out.read_text())
+    assert list(payload) == ["bijective", "checked", "collision", "n", "w"]
+    assert payload == {"bijective": False, "checked": 21, "collision": [0x11, 0x14],
+                       "n": 2, "w": 3}
+    assert run("perm", "verify", "--spec", "pi1", "--n", "2", "--w", "3",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["collision"] is None
+
+
+def test_bounds_out_file_is_the_printed_json(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    assert run("bounds", "--n", "3", "--w", "3", "--alpha-n", "1", "--eps1", "0.5",
+               "--eps2", "0.0625", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["q"] == 2
+
+
+def test_experiment_stdout_is_the_out_file(tmp_path, capsys):
+    out = tmp_path / "experiment.csv"
+    base = ["experiment", "--n", "2", "--w-list", "2,3", "--q", "2", "--count", "2",
+            "--seed", "4"]
+    assert run(*base) == 0
+    printed = capsys.readouterr().out
+    assert run(*base, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
+def test_an_assertion_in_a_handler_exits_3(monkeypatch, capsys):
+    from condlab import conductance
+
+    def broken(*args, **kw):
+        raise AssertionError("sheet out of range")
+
+    monkeypatch.setattr(conductance, "bound_sheet", broken)
+    assert run("bounds", "--n", "2", "--w", "3", "--q", "2") == 3
+    assert capsys.readouterr().err == "internal invariant violation: sheet out of range\n"
+
+
+@pytest.mark.parametrize("sides, message", [
+    ("0 1\n0 1 2\n0 1\n", "line 3: side has 3 values, expected 2"),
+    ("0 1\n0 4\n0 1\n", "line 3: side value out of range"),
+    ("0 1\n0 1\n", "expected 3 sides, found 2"),
+], ids=["count", "range", "missing"])
+def test_bad_box_files_are_parse_errors(sides, message, tmp_path, capsys):
+    path = tmp_path / "box.txt"
+    path.write_text("condlab-box v1 n=2 w=3 q=2\n" + sides)
+    assert run(*DECOMPOSE_PI1, "--box-file", str(path)) == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"

@@ -8,14 +8,17 @@ import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from condlab import condenser, conductance
 from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box, random_box
+from condlab.conductance import best_V_for_U
 from condlab.condenser import (
     Decomposition,
+    _scaled_below,
     coordinate_min_entropy,
     cut_exponent,
     decompose,
@@ -385,11 +388,49 @@ def test_identity_box_image_marks_r0_unverified():
     assert report.precondition_held is False
 
 
+def test_a_certified_greedy_count_is_the_exact_maximum(monkeypatch):
+    # the precondition's maximum, with and without the inner search, on the
+    # images of seeded boxes
+    searched = []
+    real_inner = conductance._best_box_bnb
+    monkeypatch.setattr(conductance, "_best_box_bnb",
+                        lambda *args, **kw: searched.append(1) or real_inner(*args, **kw))
+    rng = random.Random(11)
+    checks = 0
+    for spec in (PermutationSpec.pi1(3), PermutationSpec.pi2(3), PermutationSpec.pi3(3),
+                 random_table(6, 3, 3), PermutationSpec.piw(2, 4)):
+        for q in (2, 3, 4):
+            for _ in range(3):
+                image = image_of_box(spec, random_box(rng, spec.n, q, spec.w)[1])
+                dec = decompose(image, math.log2(q), 0.25, 0.25)
+                report = verify_converse_bounds(dec, 0.1)
+                assert report.max_box_intersection == best_V_for_U(image, q)[1]
+                checks += 1
+    # best_V_for_U ran once per check above; the rest ran in the bounds check
+    assert 0 < len(searched) - checks < checks
+
+
+def test_the_converse_check_of_a_4096_point_image_ends(tmp_path):
+    # the inner search alone ran past 300 s on this image; greedy's box
+    # meets its root bound, which certifies the maximum
+    out = tmp_path / "dec.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "condlab", "decompose", "--spec", "pi1", "--n", "6", "--q", "16",
+         "--eps1", "0.25", "--eps2", "0.25", "--eps3", "0.1", "--box-seed", "4",
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    precondition = json.loads(out.read_text())["runs"][0]["bounds"]["precondition"]
+    assert (precondition["checked"], precondition["max_box_intersection"]) == (True, 1178)
+
+
 def test_verified_branch_arithmetic_with_synthetic_precondition(monkeypatch):
-    # force the precondition to hold to exercise the conditional R0 bound
+    # force the precondition to hold to exercise the conditional R0 bound;
+    # greedy keeps 12 of these points at q=4, under their root bound of 20,
+    # so the maximum comes from the (faked) inner search
     monkeypatch.setattr(conductance, "_best_box_bnb",
                         lambda points, n, w, q, **_: (1, ((0, 1, 2, 3),) * 3))
-    ps = PointSet(random.Random(3).sample(range(64), 30), 2, 3)
+    ps = PointSet(random.Random(3).sample(range(512), 30), 3, 3)
     dec = decompose(ps, 2.0, 0.05, 0.05)
     report = verify_converse_bounds(dec, 0.05)
     by_name = {c.name: c for c in report.checks}
@@ -406,8 +447,10 @@ def test_refused_inner_search_leaves_the_precondition_unverified(monkeypatch):
                           refused=budget + 1)
 
     monkeypatch.setattr(conductance, "_best_box_bnb", refuse)
-    box = QBox(((0, 1), (0, 1), (0, 1)), 2)
-    dec = decompose(image_of_box(PermutationSpec.identity(2, 3), box), 1.0, 0.25, 0.25)
+    # the 16 points (a, b, a^b): greedy keeps 4 at q=2, under the root
+    # bound of 8, so the inner search runs
+    points = PointSet([(a << 4) | (b << 2) | (a ^ b) for a in range(4) for b in range(4)], 2, 3)
+    dec = decompose(points, 1.0, 0.25, 0.25)
     report = verify_converse_bounds(dec, 0.1)
     by_name = {c.name: c for c in report.checks}
     assert report.precondition_checked is False
@@ -510,6 +553,26 @@ def test_decomposition_json_rejects_negative_points():
     blob["parts"]["R0"] = ["-1", "5"]
     with pytest.raises(ShapeError):
         Decomposition.from_json_dict(blob)
+
+
+@pytest.mark.parametrize("text", [" 1f", "0x1f", "+1f", "1_f", 31])
+def test_decomposition_json_reads_plain_hex_only(text):
+    # int(text, 16) reads each string here as 31; a JSON number is no hex
+    dec = decompose(PointSet([0b011011], 2, 3), 1.0, 0.25, 0.25)
+    blob = dec.to_json_dict()
+    blob["parts"]["R0"] = [text]
+    with pytest.raises(ShapeError, match="is not a hex value"):
+        Decomposition.from_json_dict(blob)
+    blob = dec.to_json_dict()
+    blob["slice_log"] = [[1, 0, text, 1]]
+    with pytest.raises(ShapeError, match="is not a hex value"):
+        Decomposition.from_json_dict(blob)
+
+
+def test_scaled_below_is_exact_at_whole_shifts():
+    for size, shift, limit in itertools.product(range(1, 41), range(-4, 5), range(1, 41)):
+        want = Fraction(size) * Fraction(2) ** shift < limit
+        assert _scaled_below(size, float(shift), limit) == want, (size, shift, limit)
 
 
 # --- empirical profile ------------------------------------------------------------------

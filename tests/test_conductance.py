@@ -30,7 +30,6 @@ from condlab.conductance import (
     exact_conductance,
     heuristic_lower_bound,
     read_checkpoint,
-    replay_witness,
 )
 from condlab.errors import (
     BudgetError,
@@ -106,7 +105,8 @@ def test_witness_replay_matches_reported_count():
     spec = PermutationSpec.pi3(2)
     for q in (1, 2):
         report = exact_conductance(spec, q)
-        assert replay_witness(spec, report) == report.max_count
+        assert intersection_count(image_of_box(spec, report.witness_u),
+                                  report.witness_v) == report.max_count
 
 
 def test_parallel_equals_serial():
@@ -135,7 +135,7 @@ def test_conjugation_smoke():
     r1 = exact_conductance(base, 2)
     r2 = exact_conductance(conj, 2)
     assert 2 <= r2.max_count <= 4
-    assert replay_witness(conj, r2) == r2.max_count
+    assert intersection_count(image_of_box(conj, r2.witness_u), r2.witness_v) == r2.max_count
     assert abs(r1.condd - r2.condd) <= 1.0  # same scale, may differ
 
 
@@ -275,6 +275,24 @@ def test_inner_budget_refusal_keeps_a_resumable_checkpoint(tmp_path, monkeypatch
     assert resumed.boxes_examined == full.boxes_examined
 
 
+def test_a_checkpoint_before_any_incumbent_resumes_to_the_full_run(tmp_path, monkeypatch):
+    from condlab import conductance
+
+    spec = PermutationSpec.pi1(2)
+    full = exact_conductance(spec, 2)
+    path = tmp_path / "empty.ckpt"
+    # the inner search refuses box 0 at its second node, before any incumbent
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "INNER_NODE_BUDGET", 1)
+        with pytest.raises(BudgetError, match="node budget of 1$"):
+            exact_conductance(spec, 2, checkpoint_path=str(path))
+    assert path.read_text().splitlines()[3:] == [
+        "cursor=(0,0,0)", "max_count=-1", "witness_u=-", "witness_v=-", "boxes_examined=0"]
+    resumed = exact_conductance(spec, 2, checkpoint_path=str(path))
+    assert resumed.to_json_dict() | {"wall_seconds": 0} == full.to_json_dict() | {
+        "wall_seconds": 0}
+
+
 @pytest.mark.parametrize("edits", [
     {"max_count": "9"},              # the witnesses replay to 8
     {"max_count": "0", "witness_v": "2,3;2,3;2,3"},  # a pair that meets in no point
@@ -323,7 +341,12 @@ def test_report_json_round_trip(tmp_path):
     loaded = ConductanceReport.from_json_dict(json.loads(blob))
     assert loaded.max_count == report.max_count
     assert loaded.witness_u == report.witness_u
-    assert replay_witness(spec, loaded) == loaded.max_count
+    assert loaded == report
+    assert intersection_count(image_of_box(spec, loaded.witness_u),
+                              loaded.witness_v) == loaded.max_count
+    assert list(json.loads(blob)) == [
+        "n", "w", "q", "alpha", "mode", "max_count", "condd", "witness_u", "witness_v",
+        "boxes_examined", "exhausted", "wall_seconds", "q_is_power_of_two"]
     assert json.loads(blob)["q_is_power_of_two"] is True
 
 
@@ -444,6 +467,19 @@ def test_heuristic_greedy_reaches_full_count_on_identity():
     spec = PermutationSpec.identity(2, 3)
     report = heuristic_lower_bound(spec, 2, budget=1, seed=0)
     assert report.max_count == 8  # greedy V alone recovers the box image
+
+
+def test_heuristic_at_the_full_alphabet_stops_after_one_evaluation(monkeypatch):
+    from condlab import conductance
+
+    # q = 2^n: the whole cube is the only box, so there is nothing to climb
+    calls = []
+    real_greedy = conductance.greedy_box
+    monkeypatch.setattr(conductance, "greedy_box",
+                        lambda *args: calls.append(args) or real_greedy(*args))
+    report = heuristic_lower_bound(PermutationSpec.pi1(2), 4, budget=200, seed=5)
+    assert (report.boxes_examined, report.max_count, len(calls)) == (1, 64, 1)
+    assert report.witness_u.sides == report.witness_v.sides == ((0, 1, 2, 3),) * 3
 
 
 def test_heuristic_budget_validation():
