@@ -9,6 +9,7 @@ every command is reproducible. --threads is accepted and has no effect.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -72,7 +73,7 @@ def _collect_config(args, *, need_eps=()) -> None:
     threads = getattr(args, "threads", 1)
     if threads < 1:
         issues.append(f"--threads must be at least 1, got {threads}")
-    for name in ("trials", "count", "checkpoint_every", "budget", "budget_bits"):
+    for name in ("trials", "count", "budget"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             issues.append(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
@@ -229,20 +230,14 @@ def cmd_perm_verify(args) -> int:
     _collect_config(args)
     spec = _build_spec(args)
     _maybe_warn_composite(spec)
-    report = verify_bijective(spec, **_given(budget_bits=args.budget_bits))
+    report = verify_bijective(spec)
     if report.bijective:
         print(f"bijective=yes checked={report.checked}")
     else:
         a, b = report.collision
         print(f"bijective=no witness={a:#x},{b:#x} checked={report.checked}")
     if args.out:
-        _write_json(args.out, {
-            "bijective": report.bijective,
-            "checked": report.checked,
-            "collision": list(report.collision) if report.collision else None,
-            "n": report.n,
-            "w": report.w,
-        })
+        _write_json(args.out, dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -269,8 +264,7 @@ def cmd_cond(args) -> int:
     _maybe_warn_composite(spec)
     if args.mode == "exact":
         report = cond_mod.exact_conductance(spec, args.q, **_given(
-            outer_budget=args.budget, checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every))
+            outer_budget=args.budget, checkpoint_path=args.checkpoint))
     else:
         report = cond_mod.heuristic_lower_bound(spec, args.q, seed=args.seed,
                                                 **_given(budget=args.budget))
@@ -458,7 +452,6 @@ def build_parser() -> _Parser:
     p_verify = perm_sub.add_parser("verify", help="exhaustive bijectivity scan")
     _add_spec_args(p_verify)
     _add_common(p_verify, n=False, seed=True, out=True)
-    p_verify.add_argument("--budget-bits", type=int)
     p_verify.set_defaults(handler=cmd_perm_verify)
     for name, inverse in (("eval", False), ("invert", True)):
         p_e = perm_sub.add_parser(name, help=f"{name} one point")
@@ -481,7 +474,6 @@ def build_parser() -> _Parser:
                         help="exact: the most prefixes C(2^n,q)^(w-1) walked and boxes "
                              "searched (default 10^6); heuristic: evaluations (default 200)")
     p_cond.add_argument("--checkpoint", help="checkpoint file path")
-    p_cond.add_argument("--checkpoint-every", type=int)
     p_cond.set_defaults(handler=cmd_cond)
 
     p_dec = sub.add_parser("decompose", help="partition a box image")

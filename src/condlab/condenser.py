@@ -32,6 +32,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .boxes import (PointSet, _check_box_params, greedy_box, image_of_box, intersection_count,
                     random_box, slice_bound, slice_sizes, slices, word_field)
@@ -443,12 +444,22 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
 # --- empirical condenser profile ----------------------------------------------
 
 
+class CoordinateEntropy(NamedTuple):
+    """One coordinate of a kept part: the min-entropy of the uniform
+    distribution on it, and whether it met its target."""
+
+    part_size: int
+    fattest_slice: int
+    min_entropy_bits: float
+    met_target: bool
+
+
 @dataclass(frozen=True)
 class TrialProfile:
     index: int
     box_ranks: tuple
     gamma: float
-    coordinate_entropies: dict  # coord -> (part size, fattest slice, bits, met)
+    coordinate_entropies: dict  # coord -> CoordinateEntropy
 
 
 @dataclass(frozen=True)
@@ -481,13 +492,7 @@ class CondenserProfile:
                     "box_ranks": list(t.box_ranks),
                     "gamma": t.gamma,
                     "coordinates": {
-                        str(i): {
-                            "part_size": v[0],
-                            "fattest_slice": v[1],
-                            "min_entropy_bits": v[2],
-                            "met_target": v[3],
-                        }
-                        for i, v in t.coordinate_entropies.items()
+                        str(i): v._asdict() for i, v in t.coordinate_entropies.items()
                     },
                 }
                 for t in self.trials
@@ -556,15 +561,14 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
                 continue
             fattest = largest[i]
             met = _scaled_below(fattest, target_shift, len(part))
-            entropies[i] = (len(part), fattest, _min_entropy_bits(len(part), fattest), met)
+            entropies[i] = CoordinateEntropy(len(part), fattest,
+                                             _min_entropy_bits(len(part), fattest), met)
         return TrialProfile(index, ranks, gamma, entropies)
 
     results = [run_trial(index, *draw) for index, draw in enumerate(draws)]
 
     gammas = [t.gamma for t in results]
-    met_flags = [
-        v[3] for t in results for v in t.coordinate_entropies.values()
-    ]
+    met_flags = [v.met_target for t in results for v in t.coordinate_entropies.values()]
     return CondenserProfile(
         spec_digest=spec.digest(),
         alpha_n=alpha_n,

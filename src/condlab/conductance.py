@@ -88,6 +88,7 @@ from .errors import BudgetError, CondlabError, RangeError, ShapeError
 from .perms import PermutationSpec, parse_hex
 
 INNER_NODE_BUDGET = 10 ** 7
+CHECKPOINT_SECONDS = 10  # the least time between an exact scan's checkpoints
 LOOKUP_BITS = 18  # the widest domain an exact scan evaluates into one list
 COUNT_TABLE_BYTES = 1 << 23  # the largest packed slice counts an exact scan tabulates
 
@@ -273,8 +274,7 @@ def _scan_evaluator(spec: PermutationSpec):
 def exact_conductance(spec: PermutationSpec, q: int, *,
                       outer_budget: int = DEFAULT_BOX_BUDGET,
                       threads: int = 1,
-                      checkpoint_path: str | None = None,
-                      checkpoint_every: int = 1000) -> ConductanceReport:
+                      checkpoint_path: str | None = None) -> ConductanceReport:
     """The true maximum of |pi(U) ∩ V| over all q-box pairs, with the
     lexicographically smallest witnesses. Deterministic; ``threads`` is
     accepted for interface symmetry and ignored.
@@ -298,8 +298,9 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     past it is refused as the inner search's node budget refuses one.
 
     With a ``checkpoint_path`` the search resumes from an existing file
-    and writes one every ``checkpoint_every`` boxes of this session (0:
-    none), skipped boxes included, at the end, and at the refused box when
+    and writes one at the cursor when it moves (past a jumped or finished
+    prefix, or to a searched box) at least ``CHECKPOINT_SECONDS`` after
+    the last write or the start, at the end, and at the refused box when
     either budget runs out. A checkpoint holds the rank of the next box as
     its cursor, and its ``boxes_examined`` is that rank; a file whose
     cursor is out of range, whose count differs from the cursor's rank, or
@@ -309,8 +310,6 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     t0 = time.monotonic()
     n, w = spec.n, spec.w
     _check_box_params(n, q, w)
-    if checkpoint_every < 0:
-        raise RangeError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
     try:
         check_box_count(n, q, max(w - 1, 1), outer_budget)
     except BudgetError:
@@ -340,20 +339,26 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                                f"or incumbent max_count={best}")
     check_point_count(q, w)  # each box's image, as image_of_box refuses it
 
-    # rank is the cursor: the next box's rank and the number examined;
-    # a checkpoint falls due every checkpoint_every ranks of this session
+    # rank is the cursor: the next box's rank and the number examined
     rank = start
-    due = start + checkpoint_every if checkpoint_path and checkpoint_every else math.inf
     searched = 0  # boxes this session hands to the inner search
+    every = CHECKPOINT_SECONDS if checkpoint_path else math.inf  # read per call
+    written = t0  # when the last checkpoint was written
+
+    def save():
+        """Write a checkpoint at the cursor, when there is a path."""
+        nonlocal written
+        if checkpoint_path:
+            write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v, digest)
+            written = time.monotonic()
 
     def advance(to):
-        """Move the cursor to rank ``to``, writing the checkpoints a scan of
-        every box would write on the way."""
-        nonlocal rank, due
-        while due <= to:
-            write_checkpoint(checkpoint_path, spec, q, due, best, best_u, best_v, digest)
-            due += checkpoint_every
+        """Move the cursor to rank ``to``, and write a checkpoint there when
+        ``every`` seconds have passed since the last."""
+        nonlocal rank
         rank = to
+        if time.monotonic() - written >= every:
+            save()
 
     size = 1 << n
     translate = w - 1 in spec.free_words  # column_images gives column 0 alone
@@ -407,7 +412,6 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
         for k in [k for k in range(first, radix) if collides or sums[k] > best]:
             last = lasts[k]
             if collides:
-                advance(base + k)
                 image_of_box(spec, QBox(prefix + (last,), n))  # refuses a repeat, naming it
             # a box's counts are its columns' summed, and their bound its root bound
             if sums[k] <= best or packed and slice_bound(
@@ -425,17 +429,13 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                     [y ^ t for t in last for y in columns[0]] if translate
                     else [y for t in last for y in columns[t]], n, w, q, incumbent=best)
             except BudgetError:
-                if checkpoint_path:
-                    write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v,
-                                     digest)
+                save()
                 raise
             if sides is not None:
                 best, best_u, best_v = count, prefix + (last,), sides
         advance(base + radix)
-    advance(total)
-
-    if checkpoint_path:
-        write_checkpoint(checkpoint_path, spec, q, rank, best, best_u, best_v, digest)
+    rank = total
+    save()
     return _report(spec, q, "exact", best, best_u, best_v, rank, t0)
 
 

@@ -70,15 +70,15 @@ from .gf2n import MAX_DEGREE, ReductionPolynomial, default_poly, is_prime, mul_r
 EXHAUSTIVE_BUDGET_BITS = 24
 
 
-def _check_domain_bits(bits: int, task: str, tail: str = "budget",
-                       budget_bits: int = EXHAUSTIVE_BUDGET_BITS) -> None:
-    """Refuse a whole-domain pass over more than ``budget_bits`` input bits;
-    ``task`` and ``tail`` frame the refusal's message."""
-    if bits > budget_bits:
+def _check_domain_bits(bits: int, task: str, tail: str = "budget") -> None:
+    """Refuse a whole-domain pass over more than ``EXHAUSTIVE_BUDGET_BITS``
+    input bits; ``task`` and ``tail`` frame the refusal's message."""
+    if bits > EXHAUSTIVE_BUDGET_BITS:
         # past 4 * PRINTABLE_DIGITS bits the count is too long to print
         # (BudgetError drops it) and can be too large to build at all
         refused = 1 << bits if bits <= 4 * PRINTABLE_DIGITS else None
-        raise BudgetError(f"{task}{bits}-bit domain exceeds the {budget_bits}-bit {tail}",
+        raise BudgetError(f"{task}{bits}-bit domain exceeds the "
+                          f"{EXHAUSTIVE_BUDGET_BITS}-bit {tail}",
                           refused=refused)
 
 KINDS = ("identity", "pi1", "pi2", "pi3", "piw", "bothmix", "random", "table")
@@ -245,14 +245,12 @@ class PermutationSpec:
         return _forward(self, x, mul_raw, self.poly.poly)
 
     def invert_packed(self, y: int) -> int:
-        """Preimage of a packed point. pi1/pi2/pi3/piw are their own
-        inverses: no product reads the word it moves (pi3: in neither
+        """Preimage of a packed point. identity/pi1/pi2/pi3/piw are their
+        own inverses: no product reads the word it moves (pi3: in neither
         branch, and both keep the selector word a), so a second pass XORs
         the products back out. bothmix is inverted separately and has no
         inverse on its a = 1 plane."""
         kind = self.kind
-        if kind == "identity":
-            return y
         if kind in ("random", "table"):
             if self._inverse is None:
                 self._inverse = self._table_inverse()
@@ -440,13 +438,14 @@ class BijectivityReport:
 
     bijective: bool
     checked: int
+    collision: tuple[int, int] | None  # two packed inputs, same output
     n: int
     w: int
-    collision: tuple[int, int] | None = None  # two packed inputs, same output
 
 
-def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET_BITS) -> BijectivityReport:
-    """Exhaustively decide whether ``spec`` is a bijection.
+def verify_bijective(spec: PermutationSpec) -> BijectivityReport:
+    """Exhaustively decide whether ``spec`` is a bijection, over at most
+    ``EXHAUSTIVE_BUDGET_BITS`` input bits, as every whole-domain pass.
 
     Scans every input in ascending packed order, a block at a time
     (:func:`_first_collision`); on the first repeated output the report
@@ -454,11 +453,10 @@ def verify_bijective(spec: PermutationSpec, budget_bits: int = EXHAUSTIVE_BUDGET
     """
     bits = spec.domain_bits
     _check_domain_bits(bits, "", "exhaustive budget; spot-check with sampled "
-                       "eval/invert round trips instead", budget_bits)
+                       "eval/invert round trips instead")
     collision = _first_collision(spec)
-    if collision is None:
-        return BijectivityReport(True, 1 << bits, spec.n, spec.w)
-    return BijectivityReport(False, collision[1] + 1, spec.n, spec.w, collision)
+    checked = 1 << bits if collision is None else collision[1] + 1
+    return BijectivityReport(collision is None, checked, collision, spec.n, spec.w)
 
 
 # --- whole-domain passes (numpy, imported per call; see the module docstring)

@@ -2,19 +2,24 @@
 
     PYTHONPATH=src python tests/exact_sweep.py            # every shape
     PYTHONPATH=src python tests/exact_sweep.py --cheap    # the tier-1 subset
+    PYTHONPATH=src python tests/exact_sweep.py --reports  # not the write rule
 
 Prints one line per shape: its name and the sha256 of everything the
 exact search leaves there, run three ways:
 
 * plain: the report without its wall time, or the refusal (its type,
   message, witness and refused count);
-* with ``checkpoint_every=7``: the same, and the rank and bytes of every
-  checkpoint it writes;
+* with a checkpoint at every cursor move (``CHECKPOINT_SECONDS = 0``):
+  the same, and the rank and bytes of every checkpoint it writes;
 * interrupted at half of those writes, then resumed from that file with
-  ``checkpoint_every=7``: the same for the resumed run.
+  a checkpoint at every cursor move: the same for the resumed run.
 
 Two revisions of the engine that print the same lines give the same
-reports, refusals and checkpoint bytes on every shape. The shapes are
+reports, refusals and checkpoint bytes on every shape. With
+``--reports`` a line hashes only what does not depend on when the engine
+writes checkpoints: the plain outcome, the outcome of a run with a
+checkpoint file, and the file that run leaves when it finishes or a
+budget refuses it. The shapes are
 identity and two random tables at n=1-3 and w=1-3, pi1, pi2, pi3 and
 bothmix at n=1-3, and piw at n=2 w=4, at every q with at most 3,000 boxes,
 plus those of 3,001-21,952 boxes with q <= 4: 155 shapes. The cheap subset
@@ -81,9 +86,10 @@ def _outcome(run) -> tuple:
 
 
 def _checkpointed(spec, q, path, stop_at=None) -> tuple:
-    """The outcome of a run writing every 7 boxes and the (rank, bytes) of
-    its writes; with ``stop_at``, the run stops after that many writes."""
-    real_write = conductance.write_checkpoint
+    """The outcome of a run writing at every cursor move and the (rank,
+    bytes) of its writes; with ``stop_at``, the run stops after that many
+    writes."""
+    real_write, real_seconds = conductance.write_checkpoint, conductance.CHECKPOINT_SECONDS
     writes = []
 
     def write_and_keep(*args):
@@ -93,14 +99,13 @@ def _checkpointed(spec, q, path, stop_at=None) -> tuple:
         if len(writes) == stop_at:
             raise _Stop
 
-    conductance.write_checkpoint = write_and_keep
+    conductance.write_checkpoint, conductance.CHECKPOINT_SECONDS = write_and_keep, 0
     try:
-        outcome = _outcome(lambda: conductance.exact_conductance(
-            spec, q, checkpoint_path=path, checkpoint_every=7))
+        outcome = _outcome(lambda: conductance.exact_conductance(spec, q, checkpoint_path=path))
     except _Stop:
         outcome = ("stopped",)
     finally:
-        conductance.write_checkpoint = real_write
+        conductance.write_checkpoint, conductance.CHECKPOINT_SECONDS = real_write, real_seconds
     return outcome, writes
 
 
@@ -117,14 +122,29 @@ def digest(spec, q) -> str:
     return hashlib.sha256(repr((plain, whole, resumed)).encode()).hexdigest()
 
 
-def lines(cheap: bool):
+def report_digest(spec, q) -> str:
+    """sha256 of a plain run, a run with a checkpoint file, and the file
+    that run leaves when it finishes or a budget refuses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ckpt")
+        plain = _outcome(lambda: conductance.exact_conductance(spec, q))
+        checked = _outcome(lambda: conductance.exact_conductance(spec, q, checkpoint_path=path))
+        left = None
+        if checked[0] == "report" or checked[1] == "BudgetError":
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    left = fh.read()
+    return hashlib.sha256(repr((plain, checked, left)).encode()).hexdigest()
+
+
+def lines(cheap: bool, reports: bool = False):
     """One ``name<TAB>sha256`` line per shape."""
     for name, spec, q in shapes(cheap):
-        yield f"{name}\t{digest(spec, q)}"
+        yield f"{name}\t{(report_digest if reports else digest)(spec, q)}"
 
 
 def main(argv) -> int:
-    for line in lines("--cheap" in argv):
+    for line in lines("--cheap" in argv, "--reports" in argv):
         print(line, flush=True)
     return 0
 

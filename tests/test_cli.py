@@ -181,19 +181,37 @@ def test_missing_input_file_is_an_error_exit_1(tmp_path, capsys):
 
 
 def test_negative_counts_are_usage_errors(tmp_path, capsys):
-    path = str(tmp_path / "search.ckpt")
-    cond = ("cond", "--spec", "pi1", "--n", "2", "--q", "2", "--checkpoint", path)
-    for command, flag in (
-            (("experiment", "--n", "2", "--q", "2", "--count", "-1"), "--count"),
-            (cond + ("--checkpoint-every", "-5"), "--checkpoint-every")):
-        assert run(*command) == 1
+    assert run("experiment", "--n", "2", "--q", "2", "--count", "-1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid configuration: --count must be nonnegative, got -1\n"
+    # the checkpoint interval and the whole-domain budget are not options
+    path = tmp_path / "search.ckpt"
+    for argv in (("cond", "--spec", "pi1", "--n", "2", "--q", "2", "--checkpoint", str(path),
+                  "--checkpoint-every", "5"),
+                 ("perm", "verify", "--spec", "pi1", "--n", "2", "--budget-bits", "8")):
+        assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: invalid configuration: {flag} "
-                                f"must be nonnegative, got {command[-1]}\n")
-    # 0 still means no periodic writes, only the final one
-    assert run(*cond, "--checkpoint-every", "0") == 0
-    assert "condd=3" in capsys.readouterr().out
+        assert captured.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert not path.exists()
+
+
+def test_a_checkpointed_scan_shorter_than_the_interval_writes_once_at_the_end(
+        tmp_path, monkeypatch, capsys):
+    from condlab import conductance
+
+    # random_table(3, 2, 3) at q=2 walks 36 prefixes and searches 59 boxes
+    # in far less than CHECKPOINT_SECONDS, so only the end is written
+    ranks, real_write = [], conductance.write_checkpoint
+    monkeypatch.setattr(conductance, "write_checkpoint",
+                        lambda *args: ranks.append(args[3]) or real_write(*args))
+    path, out = tmp_path / "search.ckpt", tmp_path / "report.json"
+    assert run("cond", "--spec", "random", "--seed", "3", "--n", "2", "--w", "3", "--q", "2",
+               "--checkpoint", str(path), "--out", str(out)) == 0
+    assert ranks == [216] == [json.loads(out.read_text())["boxes_examined"]]
+    assert path.read_text().splitlines()[-1] == "boxes_examined=216"
+    assert sorted(tmp_path.iterdir()) == [out, path]
 
 
 def test_box_searches_on_a_non_bijective_spec_exit_1(capsys):

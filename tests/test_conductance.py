@@ -202,12 +202,12 @@ def test_searched_boxes_past_the_budget_are_refused_at_a_checkpoint(tmp_path, mo
     # random_table(3, 2, 3) at q=2 walks 36 prefixes and searches 59 boxes
     spec = random_table(3, 2, 3)
     ranks, searched, real_inner = [0], [], conductance._best_box_bnb
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch:  # a write at every cursor move, each searched box's
+        patch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
         patch.setattr(conductance, "write_checkpoint", lambda *args: ranks.append(args[3]))
         patch.setattr(conductance, "_best_box_bnb",
                       lambda *args, **kw: searched.append(ranks[-1]) or real_inner(*args, **kw))
-        full = exact_conductance(spec, 2, checkpoint_path=str(tmp_path / "each.ckpt"),
-                                 checkpoint_every=1)
+        full = exact_conductance(spec, 2, checkpoint_path=str(tmp_path / "each.ckpt"))
     assert len(searched) == 59
     path = str(tmp_path / "refused.ckpt")
     with pytest.raises(BudgetError) as exc:
@@ -226,29 +226,32 @@ class _Interrupted(Exception):
     pass
 
 
-def _checkpoint_after_first_write(monkeypatch, spec, q, path, every):
-    """Run the exact search until it has written its first periodic
-    checkpoint, then stop it there, as an interrupted run would."""
+def _checkpoint_after_first_write(monkeypatch, spec, q, path, at):
+    """Run the exact search with a checkpoint at every cursor move until it
+    writes one at rank ``at`` or past it, then stop it there, as an
+    interrupted run would. Returns the checkpoint's rank."""
     from condlab import conductance
 
     real_write = conductance.write_checkpoint
 
     def write_then_stop(*args):
         real_write(*args)
-        raise _Interrupted
+        if args[3] >= at:
+            raise _Interrupted
 
     with monkeypatch.context() as patch:
+        patch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
         patch.setattr(conductance, "write_checkpoint", write_then_stop)
         with pytest.raises(_Interrupted):
-            exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=every)
-    assert read_checkpoint(path)["boxes_examined"] == every
+            exact_conductance(spec, q, checkpoint_path=path)
+    return read_checkpoint(path)["boxes_examined"]
 
 
 def test_checkpoint_resume_equals_full_run(tmp_path, monkeypatch):
     spec = random_table(8, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "search.ckpt")
-    _checkpoint_after_first_write(monkeypatch, spec, 2, path, 9)
+    assert 9 <= _checkpoint_after_first_write(monkeypatch, spec, 2, path, 9) < full.boxes_examined
     resumed = exact_conductance(spec, 2, checkpoint_path=path)
     assert resumed.max_count == full.max_count
     assert resumed.witness_u == full.witness_u
@@ -307,7 +310,8 @@ def test_a_checkpoint_before_any_incumbent_resumes_to_the_full_run(tmp_path, mon
 def test_a_resumed_incumbent_must_replay(tmp_path, monkeypatch, edits):
     spec = PermutationSpec.pi1(2)
     path = tmp_path / "tampered.ckpt"
-    _checkpoint_after_first_write(monkeypatch, spec, 2, str(path), 100)
+    # the end of the first prefix, after box 0 met q^w = 8
+    assert _checkpoint_after_first_write(monkeypatch, spec, 2, str(path), 1) == 6
     fields = dict(line.split("=", 1) for line in path.read_text().splitlines()[1:])
     assert (fields["max_count"], fields["witness_u"]) == ("8", "0,1;0,1;0,1")
     fields.update(edits)
@@ -608,7 +612,7 @@ def test_heuristic_at_n64_does_not_walk_the_alphabet():
 def test_checkpoint_file_format(tmp_path):
     path = tmp_path / "fmt.ckpt"
     spec = random_table(1, 2, 2)
-    exact_conductance(spec, 2, checkpoint_path=str(path), checkpoint_every=10)
+    exact_conductance(spec, 2, checkpoint_path=str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "condlab-ckpt v1"
     fields = dict(line.split("=", 1) for line in lines[1:])
@@ -616,23 +620,6 @@ def test_checkpoint_file_format(tmp_path):
     assert fields["cursor"] == "(6,0)"  # exhausted: 36 boxes, radix 6
     assert fields["boxes_examined"] == "36"
     assert ";" in fields["witness_u"] and "," in fields["witness_u"]
-
-
-def test_negative_checkpoint_every_is_refused_before_any_write(tmp_path, monkeypatch):
-    from condlab import conductance
-
-    writes = []
-    real_write = conductance.write_checkpoint
-    monkeypatch.setattr(conductance, "write_checkpoint",
-                        lambda *args: writes.append(args[3]) or real_write(*args))
-    path = str(tmp_path / "every.ckpt")
-    spec = PermutationSpec.pi1(2)
-    with pytest.raises(RangeError, match="checkpoint_every must be nonnegative, got -5"):
-        exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=-5)
-    assert writes == [] and not os.path.exists(path)
-    # 0 writes no periodic checkpoints, only the final one
-    report = exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=0)
-    assert writes == [report.boxes_examined]
 
 
 def test_box_searches_name_two_inputs_of_a_non_bijective_spec():
@@ -676,13 +663,15 @@ def test_condenser_bound_covers_measured_degree_with_empirical_epsilons():
 def test_checkpoint_witnesses_survive_non_improving_sessions(tmp_path, monkeypatch):
     # resumed sessions that never beat the incumbent must keep writing the
     # inherited witnesses into their checkpoints
+    from condlab import conductance
+
     spec = random_table(5, 2, 2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "chain.ckpt")
     _checkpoint_after_first_write(monkeypatch, spec, 2, path, 30)
+    monkeypatch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
     for _ in range(2):  # second pass resumes an already-finished search
-        report = exact_conductance(spec, 2, checkpoint_path=path,
-                                   checkpoint_every=1)
+        report = exact_conductance(spec, 2, checkpoint_path=path)
         assert report.max_count == full.max_count
         assert report.witness_u == full.witness_u
         assert report.witness_v == full.witness_v
@@ -755,27 +744,41 @@ def test_the_scan_without_packed_counts_gives_the_same_reports(monkeypatch, make
     assert exact_conductance(spec, q).to_json_dict() | {"wall_seconds": 0} == packed
 
 
-def test_jumped_prefixes_write_the_checkpoints_of_a_box_by_box_scan(tmp_path, monkeypatch):
+def test_at_zero_seconds_each_cursor_move_is_written_and_resumes_to_the_full_run(
+        tmp_path, monkeypatch):
     from condlab import conductance
 
-    # pi1 n=2 q=2 meets q^w at box 0, so every later prefix of 6 boxes is
-    # jumped whole; a write still lands on every fifth rank, and the bytes
-    # are those the box-by-box engine wrote
-    path = str(tmp_path / "jumps.ckpt")
-    real_write = conductance.write_checkpoint
-    written = []
+    # random_table(3, 2, 3) at q=2 walks 36 prefixes of 6 boxes and searches
+    # 59 boxes; with CHECKPOINT_SECONDS = 0 a checkpoint lands on every prefix
+    # end and every searched box, the total among them, and on no other rank
+    spec, radix = random_table(3, 2, 3), 6
+    path = str(tmp_path / "moves.ckpt")
+    real_write, real_inner = conductance.write_checkpoint, conductance._best_box_bnb
+    written, searched = [], set()
 
     def write_and_keep(*args):
         real_write(*args)
         with open(path, "rb") as fh:
             written.append((args[3], fh.read()))
 
-    monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
-    report = exact_conductance(PermutationSpec.pi1(2), 2, checkpoint_path=path, checkpoint_every=5)
-    assert report.boxes_examined == 216
-    assert [rank for rank, _ in written] == list(range(5, 216, 5)) + [216]
-    digest = hashlib.sha256(b"".join(data for _, data in written)).hexdigest()
-    assert digest == "67f7b4f3b95f596aded32574826b59a09317fc00598a8b4212717bfe80a5b4d3"
+    with monkeypatch.context() as patch:
+        patch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
+        patch.setattr(conductance, "write_checkpoint", write_and_keep)
+        patch.setattr(conductance, "_best_box_bnb",
+                      lambda *args, **kw: searched.add(written[-1][0]) or real_inner(*args, **kw))
+        full = exact_conductance(spec, 2, checkpoint_path=path)
+    total = full.boxes_examined
+    ranks = [rank for rank, _ in written]
+    assert ranks == sorted(ranks) and ranks[-1] == total
+    assert set(ranks) == set(range(radix, total + 1, radix)) | searched
+    assert len(searched) == 59 and any(rank % radix for rank in searched)
+    # resuming from each of them gives the full run's report
+    want = full.to_json_dict() | {"wall_seconds": 0}
+    for rank, data in dict(written).items():
+        resume = tmp_path / f"{rank}.ckpt"
+        resume.write_bytes(data)
+        resumed = exact_conductance(spec, 2, checkpoint_path=str(resume))
+        assert resumed.to_json_dict() | {"wall_seconds": 0} == want, rank
 
 
 def test_resume_inside_a_jumped_prefix_equals_the_full_run(tmp_path, monkeypatch):
@@ -784,8 +787,10 @@ def test_resume_inside_a_jumped_prefix_equals_the_full_run(tmp_path, monkeypatch
     spec = PermutationSpec.pi1(2)
     full = exact_conductance(spec, 2)
     path = str(tmp_path / "inside.ckpt")
-    # rank 10 lies inside the second prefix (ranks 6-11), which is jumped
-    _checkpoint_after_first_write(monkeypatch, spec, 2, path, 10)
+    # rank 10 lies inside the second prefix (ranks 6-11), past box 0's q^w,
+    # where the scan stops; no cursor move lands there, so write it by hand
+    conductance.write_checkpoint(path, spec, 2, 10, full.max_count, full.witness_u.sides,
+                                 full.witness_v.sides)
     assert read_checkpoint(path)["cursor"] == (0, 1, 4)
     inner = []
     real_inner = conductance._best_box_bnb
@@ -838,7 +843,7 @@ def test_a_resumed_bothmix_run_refuses_where_the_box_by_box_walk_did(tmp_path, m
     # box 0 of bothmix n=2 repeats an output, so the run resumes at box 1
     # of that colliding prefix with a planted incumbent; it improves to 5
     # and is refused at box 5, as the walk that imaged every box of a
-    # colliding prefix was, after the same checkpoint writes
+    # colliding prefix was, after a checkpoint at each box it searched
     spec = PermutationSpec.bothmix(2)
     u_sides = ((2, 3), (0, 3), (1, 2))
     v, count = best_V_for_U(image_of_box(spec, QBox(u_sides, 2)), 2)
@@ -854,15 +859,16 @@ def test_a_resumed_bothmix_run_refuses_where_the_box_by_box_walk_did(tmp_path, m
             written.append((args[3], fh.read()))
 
     monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
+    monkeypatch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
     with pytest.raises(NotAPermutationError) as exc:
-        exact_conductance(spec, 2, checkpoint_path=path, checkpoint_every=1)
+        exact_conductance(spec, 2, checkpoint_path=path)
     assert exc.value.witness == (0x13, 0x16)
     assert str(exc.value) == ("box inputs 0x13 and 0x16 both map to 0x1f; "
                               "the box searches need a bijection")
-    assert [rank for rank, _ in written] == [2, 3, 4, 5]
+    assert [rank for rank, _ in written] == [1, 2, 3, 4]
     assert read_checkpoint(path)["max_count"] == 5
     digest = hashlib.sha256(b"".join(data for _, data in written)).hexdigest()
-    assert digest == "8854f0899e2f17854dcb8409d00cf49254e43a868b9de6d40f8b700c64d75fce"
+    assert digest == "045f3df4a0a2359b44af5aa932f8a494fbd4e671ad0be461a3e4ce32bf7ef88f"
 
 
 def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
@@ -876,21 +882,20 @@ def test_exact_search_names_the_first_repeat_of_bothmix_at_n3():
 
 # --- the column layer: one search, however the columns are built -----------
 
-# (inner searches, apply_packed calls, sha256 of the checkpoint bytes
-# written every 7 boxes). The bytes are those of the engine that built each
-# column's inputs once per last-word value and bounded columns over slices
-# lists; the counts are this engine's, which searches only the boxes whose
-# summed column counts beat the incumbent and reads a table's columns
-# straight from its array
+# (inner searches, apply_packed calls, checkpoint writes and the sha256 of
+# their bytes, with a write at every cursor move). The engine searches only
+# the boxes whose summed column counts beat the incumbent and reads a
+# table's columns straight from its array
 _PINNED_TABLE_SEARCH = {
-    987: (153, 0, "3a838bfac649bdc6199c8dc26a8fe579691d2e908867cd85917b434d604b58e8"),
-    5: (120, 0, "d3b92f78d106be6f5271facc4f2be667c3b74bb64e9fdbdddeffbfe4feb2a571"),
+    987: (153, 0, 938, "0a23fe9953c1695ed9ce91ad141245e26d41f37d10f28cecc374228465698aa2"),
+    5: (120, 0, 905, "3cda74974d020cea0bb82c43d12eddd1ba945d1760db843e62acd70ff3203437"),
 }
 
 
-def _counted_run(monkeypatch, spec, q, path, every):
-    """A search with its inner searches, map evaluations and checkpoint
-    writes, (rank, bytes), recorded in one event list."""
+def _counted_run(monkeypatch, spec, q, path):
+    """A search with a checkpoint at every cursor move and its inner
+    searches, map evaluations and checkpoint writes, (rank, bytes),
+    recorded in one event list."""
     from condlab import conductance
 
     events = []
@@ -905,9 +910,10 @@ def _counted_run(monkeypatch, spec, q, path, every):
     monkeypatch.setattr(conductance, "_best_box_bnb",
                         lambda *args, **kw: events.append(("inner",)) or real_inner(*args, **kw))
     monkeypatch.setattr(conductance, "write_checkpoint", write_and_keep)
+    monkeypatch.setattr(conductance, "CHECKPOINT_SECONDS", 0)
     monkeypatch.setattr(PermutationSpec, "apply_packed",
                         lambda self, x: events.append(("apply",)) or real_apply(self, x))
-    report = exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=every)
+    report = exact_conductance(spec, q, checkpoint_path=path)
     monkeypatch.undo()
     return report, events
 
@@ -916,12 +922,16 @@ def _counted_run(monkeypatch, spec, q, path, every):
 def test_table_search_makes_the_pinned_calls_and_writes(tmp_path, monkeypatch, seed):
     spec = random_table(seed, 3, 3)
     path = str(tmp_path / "table.ckpt")
-    _, events = _counted_run(monkeypatch, spec, 2, path, 7)
+    _, events = _counted_run(monkeypatch, spec, 2, path)
     writes = [event[1:] for event in events if event[0] == "write"]
-    inner, applied, digest = _PINNED_TABLE_SEARCH[seed]
+    inner, applied, written, digest = _PINNED_TABLE_SEARCH[seed]
     assert [e[0] for e in events].count("inner") == inner
     assert [e[0] for e in events].count("apply") == applied
-    assert [rank for rank, _ in writes] == list(range(7, 28 ** 3 + 1, 7)) + [28 ** 3]
+    # a write at each searched box, just before its inner search, at each of
+    # the 784 prefix ends, and one more at the end
+    searched = {events[i - 1][1] for i, event in enumerate(events) if event[0] == "inner"}
+    assert set(rank for rank, _ in writes) == set(range(28, 28 ** 3 + 1, 28)) | searched
+    assert len(writes) == written
     assert hashlib.sha256(b"".join(data for _, data in writes)).hexdigest() == digest
 
 
@@ -929,36 +939,23 @@ def test_resume_between_two_candidate_boxes_equals_the_full_run(tmp_path, monkey
     from condlab import conductance
 
     spec, q, radix = random_table(987, 3, 3), 2, 28
-    # a checkpoint at every rank, so the last one before an inner search
-    # holds the searched box's rank
-    ranks, searched, real_inner = [0], set(), conductance._best_box_bnb
-    with monkeypatch.context() as patch:
-        patch.setattr(conductance, "write_checkpoint", lambda *args: ranks.append(args[3]))
-        patch.setattr(conductance, "_best_box_bnb",
-                      lambda *args, **kw: searched.add(ranks[-1]) or real_inner(*args, **kw))
-        exact_conductance(spec, q, checkpoint_path=str(tmp_path / "each.ckpt"),
-                          checkpoint_every=1)
-    # a skipped box at a multiple of 7, inside a prefix, with a searched
-    # box of the same prefix on either side
-    cursor = next(r for r in range(7, radix ** 3, 7) if r % radix and r not in searched
+    full, full_events = _counted_run(monkeypatch, spec, q, str(tmp_path / "full.ckpt"))
+    full_writes = [event[1:] for event in full_events if event[0] == "write"]
+    # the write just before an inner search holds the searched box's rank
+    searched = {full_events[i - 1][1] for i, event in enumerate(full_events)
+                if event[0] == "inner"}
+    # a skipped box inside a prefix, with a searched box of the same prefix
+    # on either side; no cursor move lands there, so its checkpoint is written
+    # by hand, with the incumbent of the next write
+    cursor = next(r for r in range(radix ** 3) if r % radix and r not in searched
                   and any(r - r % radix <= s < r for s in searched)
                   and any(r < s < r - r % radix + radix for s in searched))
-    full, full_events = _counted_run(monkeypatch, spec, q, str(tmp_path / "full.ckpt"), 7)
-    full_writes = [event[1:] for event in full_events if event[0] == "write"]
-    path = str(tmp_path / "resume.ckpt")
-    real_write = conductance.write_checkpoint
-
-    def write_then_stop(*args):
-        real_write(*args)
-        if args[3] == cursor:
-            raise _Interrupted
-
-    with monkeypatch.context() as patch:
-        patch.setattr(conductance, "write_checkpoint", write_then_stop)
-        with pytest.raises(_Interrupted):
-            exact_conductance(spec, q, checkpoint_path=path, checkpoint_every=7)
-    assert read_checkpoint(path)["boxes_examined"] == cursor
-    resumed, events = _counted_run(monkeypatch, spec, q, path, 7)
+    path = tmp_path / "resume.ckpt"
+    path.write_bytes(next(data for rank, data in full_writes if rank > cursor))
+    ck = read_checkpoint(str(path))
+    conductance.write_checkpoint(str(path), spec, q, cursor, ck["max_count"], ck["witness_u"],
+                                 ck["witness_v"])
+    resumed, events = _counted_run(monkeypatch, spec, q, str(path))
     assert resumed.to_json_dict() | {"wall_seconds": 0} == full.to_json_dict() | {
         "wall_seconds": 0}
     assert [event[1:] for event in events if event[0] == "write"] == [
@@ -967,12 +964,17 @@ def test_resume_between_two_candidate_boxes_equals_the_full_run(tmp_path, monkey
 
 
 def test_the_cheap_sweep_equals_the_engine_before_the_prefix_jump():
-    # tests/exact_sweep.py --cheap: reports, refusals and checkpoint bytes,
-    # plain, every 7 boxes, and interrupted and resumed, on 126 shapes; the
-    # sha256 of its output as the engine before the prefix jump, the count
-    # bound and the lookups printed it
+    # tests/exact_sweep.py --cheap --reports: reports, refusals and the file
+    # a checkpointed run leaves, on 126 shapes; the sha256 of its output as
+    # the engine before the prefix jump, the count bound, the lookups and
+    # the checkpoint clock printed it
     import exact_sweep
 
+    text = "".join(f"{line}\n" for line in exact_sweep.lines(cheap=True, reports=True))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f767e96ee607d588341c66375e807d9edbafc5ff3dde77084f9710d0812b8e38")
+    # --cheap: the same, plus every checkpoint written at each cursor move,
+    # and a run interrupted and resumed; pinned at the checkpoint clock
     text = "".join(f"{line}\n" for line in exact_sweep.lines(cheap=True))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "830a06a40d4d307516bca5c7bb1895d53bd58db7daffcfcdd55d48f432eb2d96")
+        "2e24f9e5a3191c8bc02f6d870997d3ce976d6b6fd1fc64647248388d719ff048")

@@ -145,6 +145,7 @@ def test_malformed_cli_input_is_one_error_line(tmp_path, capsys):
                  ("decompose", *pi1, "--q", "2", *EPS, "--eps3", "0.1",
                   "--box-file", str(raw)),
                  ("cond", *pi1, "--q", "2", "--checkpoint", str(raw)),
+                 # not an option: one "unrecognized arguments" line
                  ("perm", "verify", *pi1, "--budget-bits", "-1"),
                  ("cond", *pi1, "--q", "2", "--budget", "-1")):
         assert main(list(argv)) == 1, argv
