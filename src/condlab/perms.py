@@ -32,10 +32,12 @@ combination of the other sides (``read_words``) and XORs in every
 combination of the free sides. pi3 and bothmix keep their expressions
 in ``_forward``; each expression serves one point and a numpy block.
 
-Single points go through ``apply_packed``, in pure Python. The passes
-over the whole domain are the only places numpy loads, each importing
-it when it runs: ``verify_bijective``, ``write_table_file`` and the
-inverse of a table, which evaluate numpy blocks of ascending inputs;
+Single points go through ``apply_packed``, in pure Python, each product
+from ``mul_raw``. The passes over the whole domain are the only places
+numpy loads, each importing it when it runs: ``verify_bijective``,
+``write_table_file`` and the inverse of a table, which evaluate int64
+numpy blocks of ascending inputs (a product is gathered from the
+field's product table, built in numpy) and index with them;
 the bulk load of a table file; and drawing (``random_table``) and
 checking (``_packed_table``) a table of at least ``_NUMPY_TABLE_SIZE``
 (2^18) entries. So the per-point layers above (box images, the
@@ -260,15 +262,15 @@ class PermutationSpec:
         return self.apply_packed(y)
 
     def _table_inverse(self) -> array:
-        """The inverse table, scattered in one numpy pass straight into its
-        array; a table with a repeated output raises with the first
-        collision as witness."""
+        """The inverse table, scattered in one numpy pass (indexed by the
+        table's int64 view) straight into its array; a table with a
+        repeated output raises with the first collision as witness."""
         import numpy as np
 
         size = len(self.table)
         inverse = array("Q", [size]) * size  # size marks a slot no input reached
         slots = np.frombuffer(inverse, dtype=np.uint64)
-        slots[np.asarray(self.table, dtype=np.uint64)] = np.arange(size, dtype=np.uint64)
+        slots[_block_evaluator(self)(0, size)] = np.arange(size, dtype=np.uint64)
         if (slots == size).any():  # size entries left a slot empty: a collision
             x0, x = _first_collision(self)
             raise NotAPermutationError(
@@ -328,7 +330,7 @@ def _shears(kind: str, w: int) -> tuple[tuple[int, int, int], ...] | None:
 
 def _forward(spec: PermutationSpec, x, mul, p):
     """The forward map of an algebraic kind on ``x``: one packed point as
-    an int, or a numpy uint64 array of them. Words are read by shift and
+    an int, or a numpy int64 array of them. Words are read by shift and
     mask, and each product ``mul(a, b, p)`` is XOR-ed into its word's
     place; the same expressions serve both operand types."""
     n, shifts = spec.n, spec._shifts
@@ -461,7 +463,7 @@ def verify_bijective(spec: PermutationSpec) -> BijectivityReport:
 
 # --- whole-domain passes (numpy, imported per call; see the module docstring)
 
-# inputs per block of a whole-domain pass: its uint64 arrays are 128 KiB,
+# inputs per block of a whole-domain pass: its int64 arrays are 128 KiB,
 # small enough that the C allocator hands a block's temporaries on to the
 # next block instead of mapping them afresh, a page fault per 4 KiB page
 _BLOCK = 1 << 14
@@ -469,28 +471,47 @@ _BLOCK = 1 << 14
 
 def _block_evaluator(spec: PermutationSpec):
     """Return ``outputs(start, stop)``: the images of the inputs
-    ``start..stop-1`` as a numpy uint64 array. The pass's lookup is built
-    once here: the table itself, or for the algebraic kinds the
-    2^n x 2^n product table of the field (from ``mul_raw``), which
-    :func:`_forward` reads by gather in place of each product."""
+    ``start..stop-1`` as a numpy int64 (``intp``) array: numpy indexes
+    with intp directly, where it casts and checks a uint64 index entry
+    by entry, and every value is below 2^24 under the exhaustive budget.
+    The pass's lookup is built once here: the table itself (an int64
+    view of its array), or for the algebraic kinds the field's product
+    table (:func:`_field_products`), which :func:`_forward` reads by
+    gather in place of each product."""
     import numpy as np
 
     n = spec.n
     if spec.kind == "identity":
-        return lambda start, stop: np.arange(start, stop, dtype=np.uint64)
+        return lambda start, stop: np.arange(start, stop, dtype=np.int64)
     if spec.kind in ("random", "table"):
-        table = np.asarray(spec.table, dtype=np.uint64)  # a view of the array
+        table = np.asarray(spec.table, dtype=np.uint64).view(np.int64)
         return lambda start, stop: table[start:stop]
-    p = spec.poly.poly
-    words = range(1 << n)
-    products = np.array([mul_raw(a, b, p) for a in words for b in words], dtype=np.uint64)
+    products = _field_products(n, spec.poly.poly)
 
     def gather(a, b, table):
         return table[(a << n) | b]
 
     return lambda start, stop: _forward(
-        spec, np.arange(start, stop, dtype=np.uint64), gather, products
+        spec, np.arange(start, stop, dtype=np.int64), gather, products
     )
+
+
+def _field_products(n: int, p: int):
+    """The products of GF(2^n) under modulus ``p``, as a flat int64 array
+    whose entry ``a << n | b`` is ``a*b``, built by linearity in b: column
+    ``a*x^i`` for every a is the last one times x, and the products with
+    every b below 2^(i+1) are those below 2^i, each XOR-ed with it."""
+    import numpy as np
+
+    size = 1 << n
+    products = np.zeros((size, size), dtype=np.int64)
+    column = np.arange(size, dtype=np.int64)  # a*x^0
+    for i in range(n):
+        half = 1 << i
+        products[:, half:2 * half] = products[:, :half] ^ column[:, None]
+        column = column << 1
+        column ^= (column >> n) * p  # reduce: clear bit n with the modulus
+    return products.reshape(-1)
 
 
 def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
@@ -507,7 +528,7 @@ def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
 
     size = 1 << spec.domain_bits
     outputs = _block_evaluator(spec)
-    owner = np.zeros(size, dtype=np.uint32 if spec.domain_bits < 32 else np.uint64)
+    owner = np.zeros(size, dtype=np.uint32)
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
         ys = outputs(start, stop)
@@ -541,15 +562,16 @@ _DRAW_WORDS = 1 << 16
 
 def _covers_range(table: array) -> bool:
     """Whether ``table`` holds every value of ``range(len(table))``, by
-    one scatter into a numpy bool array after a range check (numpy would
-    read an entry of 2^63 or more as a negative index)."""
+    one scatter into a numpy bool array, indexed with an int64 view of
+    the entries after an unsigned range check (the view reads an entry of
+    2^63 or more as a negative index)."""
     import numpy as np
 
     values = np.frombuffer(table, dtype=np.uint64)
     if values.max() >= len(table):
         return False
     seen = np.zeros(len(table), dtype=bool)
-    seen[values] = True
+    seen[values.view(np.int64)] = True
     return bool(seen.all())
 
 
@@ -697,7 +719,7 @@ def write_table_file(spec: PermutationSpec, path) -> None:
     size = 1 << bits
     outputs = _block_evaluator(spec)
     hex_chars = np.frombuffer(_HEX, dtype=np.uint8)
-    shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)  # high nibble first
+    shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.int64)  # high nibble first
     with open(path, "wb") as fh:
         fh.write(f"condlab-table v1 n={spec.n} w={spec.w}\n".encode())
         for start in range(0, size, _BLOCK):

@@ -100,6 +100,41 @@ def test_apply_packed_closed_form_exhaustive(kind):
         assert perms._block_evaluator(spec)(0, 1 << (3 * n)).tolist() == want, n
 
 
+def _spec_id(spec):
+    return f"{spec.kind}-n{spec.n}-w{spec.w}"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_numpy_product_table_equals_mul_raw(n):
+    p = default_poly(n).poly
+    want = [mul_raw(a, b, p) for a in range(1 << n) for b in range(1 << n)]
+    assert perms._field_products(n, p).tolist() == want
+
+
+@pytest.mark.parametrize("spec", [PermutationSpec(kind, n, 3) for kind in
+                                  ("pi1", "pi2", "pi3", "bothmix") for n in (5, 6, 7, 8)]
+                         + [PermutationSpec.piw(2, 12)], ids=_spec_id)
+def test_blocks_past_n4_equal_apply_packed_at_the_first_middle_and_last(spec):
+    size = 1 << spec.domain_bits
+    outputs = perms._block_evaluator(spec)
+    blocks = range(0, size, perms._BLOCK)
+    for start in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+        stop = min(start + perms._BLOCK, size)
+        want = [spec.apply_packed(x) for x in range(start, stop)]
+        assert outputs(start, stop).tolist() == want, start
+
+
+@pytest.mark.parametrize("spec", [
+    PermutationSpec.identity(3, 3), random_table(5, 3, 3),
+    PermutationSpec.explicit(random_table(6, 3, 2).table, 3, 2),
+    *(PermutationSpec(kind, 3, 3) for kind in ("pi1", "pi2", "pi3", "bothmix")),
+    PermutationSpec.piw(2, 5)], ids=_spec_id)
+def test_blocks_hold_intp_the_index_dtype_numpy_uses_directly(spec):
+    import numpy as np
+
+    assert perms._block_evaluator(spec)(8, 40).dtype == np.intp
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pi3_branches_on_first_word_parity(n):
     pi1 = PermutationSpec.pi1(n)
@@ -282,8 +317,8 @@ def _table_fault(entries, bits):
 
 
 @pytest.mark.parametrize("bits", [18, 19])
-@pytest.mark.parametrize("fault", ["early repeat", "late repeat", "size", "2^64 - 1",
-                                   "not an int"])
+@pytest.mark.parametrize("fault", ["early repeat", "late repeat", "size", "2^63",
+                                   "2^64 - 1", "not an int"])
 def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, fault):
     size = 1 << bits
     assert size >= perms._NUMPY_TABLE_SIZE
@@ -294,7 +329,9 @@ def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, 
         entries[size - 2] = size - 1
     elif fault == "size":
         entries[size // 3] = size
-    elif fault == "2^64 - 1":  # numpy would read it as index -1
+    elif fault == "2^63":  # the first entry an int64 view reads as negative
+        entries[size // 3] = 2 ** 63
+    elif fault == "2^64 - 1":  # an int64 view would read it as index -1
         entries[size // 3] = 2 ** 64 - 1
     else:
         entries[size - 1] = float(size - 1)
@@ -311,6 +348,7 @@ def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, 
         "late repeat": (f"inputs {size - 2:#x} and {size - 1:#x} map to the same "
                         f"output {size - 1:#x}", (size - 2, size - 1)),
         "size": (f"table value {size:#x} out of range", None),
+        "2^63": ("table value 0x8000000000000000 out of range", None),
         "2^64 - 1": ("table value 0xffffffffffffffff out of range", None),
         "not an int": (f"table value {float(size - 1)!r} is not an int", None),
     }
