@@ -9,33 +9,9 @@ surviving points (``boxes.slice_bound``) cannot beat the incumbent.
 ``outer_budget`` refuses a walk of more prefixes up front and caps the
 boxes it hands to the inner search.
 
-The outer walk goes by prefix, the first w-1 sides of U, whose boxes are
-one run of ranks. ``boxes.column_images`` cuts the column images I_t,
-the map on prefix x {t} for each last-word value t, from one evaluation
-(a free last word: I_0 alone, whose translates are every I_t). It reads a
-table's own array, and from the walk's second prefix on a lookup of an
-algebraic kind's ``apply_packed`` over the whole domain where nw is at
-most ``LOOKUP_BITS``. Where 2^n is small, each column's
-slice counts, all coordinates packed in one int, give its root bound
-b(t), and a box's counts are the sum of its q columns' counts (the
-columns are disjoint), so |pi(U) ∩ V| <= the sum of b(t) over U's last
-side, and <= the root bound of the summed counts, which is the inner
-search's own root bound. A prefix whose q largest b(t) sum to at most
-the incumbent is jumped with one cursor move. In the others, only the
-boxes that beat the incumbent on both bounds are searched, each
-re-checked when reached, over the union of their columns; one cursor
-move crosses each run of skipped boxes. Once the incumbent reaches q^w,
-which no box can beat, the walk stops. In a prefix with two coinciding
-outputs (a map that is not a bijection) every box goes to
-``image_of_box`` first, which names the first repeat.
-
-The incumbent only ever moves on a strict improvement, a skipped box
-cannot strictly improve, and candidates are visited in lexicographic
-order, so the reported witnesses are the lexicographically smallest
-(U, V) achieving the maximum, ``boxes_examined`` is the cursor's rank
-whether a box was searched or skipped, and full and resumed runs agree
-bit for bit; a checkpoint's incumbent is resumed only when its
-witnesses replay to its count.
+The outer walk (``exact_conductance``: cursor, budget, checkpoints) hands
+each prefix of U to ``_PrefixSolver``, whose bounds pick the boxes to
+search; their docstrings hold the rules.
 
 Heuristic mode hill-climbs over U with random single-value side swaps
 (restarting when stuck) and solves V greedily per U; its result is a
@@ -262,13 +238,107 @@ def _packed_counts(n: int, q: int, w: int):
     return tally, view, [slice(j * size, (j + 1) * size) for j in reversed(range(w))]
 
 
-def _scan_evaluator(spec: PermutationSpec):
-    """The map an exact scan of an algebraic kind reads its columns through:
-    a lookup into ``apply_packed`` over all 2^(nw) inputs when nw is at
-    most ``LOOKUP_BITS``, else ``apply_packed`` itself."""
-    if spec.domain_bits <= LOOKUP_BITS:
-        return list(map(spec.apply_packed, range(1 << spec.domain_bits))).__getitem__
-    return spec.apply_packed
+class _PrefixSolver:
+    """The exact scan's bounds, built once per scan over the last sides
+    ``lasts`` in rank order. ``boxes(prefix, first, incumbent)`` yields
+    (k, points), the box of the w-1 sides ``prefix`` and last side lasts[k]
+    and its image, for each k from ``first`` on whose box may beat
+    ``incumbent()``, read again after each yield, as its search can raise it.
+
+    The column images I_t = pi(prefix x {t}) come from one set of inputs
+    (``column_images``), read from a table's own array, and for an
+    algebraic kind from the second prefix on through a lookup of
+    ``apply_packed`` over the whole domain where nw is at most
+    ``LOOKUP_BITS``. Where two outputs coincide (a map that is not a
+    bijection), each box goes to ``image_of_box`` first, which refuses the
+    first repeat. Each column is bounded by its root bound b(t),
+    ``slice_bound`` over its slice counts, packed (``_packed_counts``) where
+    they fit, else by ``slice_sizes``; a free last word's columns are
+    column 0's translates, so every b(t) is b(0). A prefix whose q largest
+    b(t) sum to at most the incumbent yields nothing (it is jumped); after
+    a jump, one coordinate's b(t) (``lead``) are tried first, and the lead
+    passes on when they fail. In the other prefixes a box is yielded only
+    when its b(t) summed over its last side and, where counts are packed,
+    the root bound of its columns' summed counts, the inner search's own,
+    beat the incumbent; no other box can strictly improve on it."""
+
+    def __init__(self, spec: PermutationSpec, q: int, lasts):
+        self.spec, self.q, self.lasts = spec, q, lasts
+        self.packed = _packed_counts(spec.n, q, spec.w)
+        self.translate = spec.w - 1 in spec.free_words  # column_images gives column 0 alone
+        self.lead, self.jumped, self.started = 0, False, False
+        # a table's own array from the start; an algebraic kind's lookup is built
+        # at the second prefix, so a scan that stops in its first never builds one
+        self.evaluate = spec.table.__getitem__ if spec.table is not None else None
+
+    def boxes(self, prefix, first: int, incumbent):
+        spec, q, lasts, packed = self.spec, self.q, self.lasts, self.packed
+        n, w, bits = spec.n, spec.w, spec.domain_bits
+        if self.evaluate is None and self.started:
+            self.evaluate = (list(map(spec.apply_packed, range(1 << bits))).__getitem__
+                             if bits <= LOOKUP_BITS else spec.apply_packed)
+        self.started = True
+        columns = column_images(spec, prefix, self.evaluate)
+        # two outputs coincide (a map that is not a bijection)
+        collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
+        best = incumbent()
+        # each column's slice counts per coordinate: packed where they fit, else slice_sizes
+        if packed:
+            tally, view, fields = packed
+            counts = list(map(tally, columns))
+            views = list(map(view, counts))
+        else:
+            fields = range(w)
+            views = [[slice_sizes(column, n, w, j).values() for j in fields] for column in columns]
+        spread = 1 << n if self.translate else 1  # the b(t) of every t, translates included
+        # after a jump the lead coordinate alone first, then every coordinate
+        for coords in ([fields[self.lead:self.lead + 1]] if packed and self.jumped else []) + [fields]:
+            bounds = [slice_bound(map(v.__getitem__, coords), q) for v in views] * spread
+            self.jumped = not collides and sum(sorted(bounds)[-q:]) <= best
+            if self.jumped:
+                return  # no box of the prefix can beat the incumbent
+            if coords is not fields:
+                self.lead = (self.lead + 1) % w
+        if packed and self.translate:  # column t is column 0 translated by t
+            counts = [tally([y ^ t for y in columns[0]]) for t in range(1 << n)]
+        # each box's b(t) summed, in rank order (lasts are combinations)
+        sums = list(map(sum, itertools.combinations(bounds, q)))
+        for k in range(first, len(lasts)):
+            if collides:
+                image_of_box(spec, QBox(prefix + (lasts[k],), n))  # refuses a repeat, naming it
+            if sums[k] <= best:
+                continue
+            last = lasts[k]
+            # a box's counts are its columns' summed, and their bound its root bound
+            if packed and slice_bound(
+                    map(view(sum([counts[t] for t in last])).__getitem__, fields), q, best) <= best:
+                continue
+            yield k, ([y ^ t for t in last for y in columns[0]] if self.translate
+                      else [y for t in last for y in columns[t]])
+            best = incumbent()
+
+
+def _resume(path, spec: PermutationSpec, q: int, radix: int, digest):
+    """The cursor and the incumbent (count, U sides, V sides) an exact scan
+    starts from: the checkpoint's at ``path`` when it exists, else 0 and
+    none. A file of another search is refused, and so is one whose cursor
+    is out of range, whose count differs from the cursor's rank, or whose
+    incumbent is not empty at box 0 or past it does not replay."""
+    if not (path and os.path.exists(path)):
+        return 0, -1, None, None
+    ck = read_checkpoint(path)
+    if ck["spec"] != digest or ck["q"] != q or len(ck["cursor"]) != spec.w:
+        raise CondlabError(f"checkpoint {path} belongs to a different search")
+    start = digits_to_rank(ck["cursor"], radix)
+    best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
+    if (not 0 <= start <= radix ** spec.w or rank_to_digits(start, radix, spec.w) != ck["cursor"]
+            or ck["boxes_examined"] != start
+            or not (_replays(spec, q, best, best_u, best_v) if start
+                    else (best, best_u, best_v) == (-1, None, None))):
+        raise CondlabError(f"checkpoint {path} holds an invalid cursor "
+                           f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
+                           f"or incumbent max_count={best}")
+    return start, best, best_u, best_v
 
 
 def exact_conductance(spec: PermutationSpec, q: int, *,
@@ -279,18 +349,15 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     lexicographically smallest witnesses. Deterministic; ``threads`` is
     accepted for interface symmetry and ignored.
 
-    Boxes are walked by prefix (their first w-1 sides). The column images
-    I_t = pi(prefix x {t}) are built from one set of inputs per prefix and
-    each is bounded by its root bound b(t). A prefix whose q largest b(t)
-    sum to at most the incumbent is jumped whole. In the others, a box
-    whose b(t) sum beats the incumbent is bounded again from its columns'
-    slice counts, which equals the inner search's root bound, and only a
-    box that beats the incumbent there too is searched, over the union of
-    its columns. The walk stops once the incumbent is q^w. Where a
-    prefix's columns repeat an output, ``image_of_box`` sees each box
-    first and refuses the first repeat. A table's columns are read from
-    its array, and an algebraic kind's, from the second prefix on, through
-    ``_scan_evaluator``.
+    Boxes are walked by prefix, their first w-1 sides, in rank order, the
+    last side the least significant digit, so a prefix's boxes are one run
+    of ranks. The rank of the next box is the cursor, and the count of
+    boxes examined, searched or not. ``_PrefixSolver`` yields the boxes of
+    a prefix that may beat the incumbent, and each goes to the inner
+    search; the walk stops once the incumbent is q^w. The incumbent moves
+    only on a strict improvement, and a box not yielded cannot strictly
+    improve, so the witnesses are the lexicographically smallest (U, V)
+    that achieve the maximum, and full and resumed runs agree bit for bit.
 
     ``outer_budget`` refuses the search up front when its C(2^n, q)^(w-1)
     prefixes (at w = 1, its boxes) are over it, naming its C(2^n, q)^w
@@ -298,14 +365,10 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     past it is refused as the inner search's node budget refuses one.
 
     With a ``checkpoint_path`` the search resumes from an existing file
-    and writes one at the cursor when it moves (past a jumped or finished
-    prefix, or to a searched box) at least ``CHECKPOINT_SECONDS`` after
-    the last write or the start, at the end, and at the refused box when
-    either budget runs out. A checkpoint holds the rank of the next box as
-    its cursor, and its ``boxes_examined`` is that rank; a file whose
-    cursor is out of range, whose count differs from the cursor's rank, or
-    whose incumbent is not empty at box 0 or past it does not replay is
-    refused."""
+    (``_resume`` refuses an invalid one) and writes one at the cursor when
+    it moves (past a finished prefix, or to a searched box) at least
+    ``CHECKPOINT_SECONDS`` after the last write or the start, at the end,
+    and at the refused box when either budget runs out."""
     del threads
     t0 = time.monotonic()
     n, w = spec.n, spec.w
@@ -320,27 +383,10 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
     prefixes = radix ** (w - 1)
     total = prefixes * radix
     digest = spec.digest() if checkpoint_path else None  # once for every write
-    start = 0
-    best, best_u, best_v = -1, None, None
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        ck = read_checkpoint(checkpoint_path)
-        if ck["spec"] != digest or ck["q"] != q or len(ck["cursor"]) != w:
-            raise CondlabError(
-                f"checkpoint {checkpoint_path} belongs to a different search"
-            )
-        start = digits_to_rank(ck["cursor"], radix)
-        best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
-        if (not 0 <= start <= total or rank_to_digits(start, radix, w) != ck["cursor"]
-                or ck["boxes_examined"] != start
-                or not (_replays(spec, q, best, best_u, best_v) if start
-                        else (best, best_u, best_v) == (-1, None, None))):
-            raise CondlabError(f"checkpoint {checkpoint_path} holds an invalid cursor "
-                               f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
-                               f"or incumbent max_count={best}")
+    start, best, best_u, best_v = _resume(checkpoint_path, spec, q, radix, digest)
     check_point_count(q, w)  # each box's image, as image_of_box refuses it
-
-    # rank is the cursor: the next box's rank and the number examined
-    rank = start
+    solver = _PrefixSolver(spec, q, lasts)
+    rank = start  # the cursor
     searched = 0  # boxes this session hands to the inner search
     every = CHECKPOINT_SECONDS if checkpoint_path else math.inf  # read per call
     written = t0  # when the last checkpoint was written
@@ -360,63 +406,11 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
         if time.monotonic() - written >= every:
             save()
 
-    size = 1 << n
-    translate = w - 1 in spec.free_words  # column_images gives column 0 alone
-    packed = _packed_counts(n, q, w)
-    tally, view, fields = packed or (None,) * 3
-    lead, jumped = 0, False  # the field tried first after a jumped prefix
-
-    def jumps(bounds):
-        """True when the q largest b(t) cannot beat the incumbent."""
-        return not collides and sum(sorted(bounds)[-q:]) <= best
-
-    # a table's own array from the start; an algebraic kind's lookup is chosen
-    # at the second prefix, so a scan that stops in its first never builds one
-    evaluate = spec.table.__getitem__ if spec.table is not None else None
-
-    # the last side is the least significant digit of the rank, so the
-    # boxes sharing their first w-1 sides (a prefix) are one run of ranks
     for prefix in enumerate_qboxes_range(lasts, w - 1, start // radix, prefixes):
         if best == q ** w:
             break  # no box can strictly improve on a full one
-        first = rank % radix  # a resumed run starts inside its first prefix
-        base = rank - first
-        if evaluate is None and rank > start:
-            evaluate = _scan_evaluator(spec)
-        columns = column_images(spec, prefix, evaluate)
-        # two outputs coincide (a map that is not a bijection)
-        collides = len(set(itertools.chain.from_iterable(columns))) < len(columns) * len(columns[0])
-        # b(t) for every t, from packed counts where they fit, else by slice_sizes
-        if packed:
-            counts = list(map(tally, columns))
-            views = list(map(view, counts))
-            bounds = None
-            if jumped:  # after a jump, one coordinate's tops may well jump this prefix
-                bounds = [slice_bound([v[fields[lead]]], q) for v in views]
-                if not jumps(bounds):
-                    bounds, lead = None, (lead + 1) % w
-            if bounds is None:
-                bounds = [slice_bound(map(v.__getitem__, fields), q) for v in views]
-        else:
-            bounds = [slice_bound((slice_sizes(column, n, w, j).values() for j in range(w)), q)
-                      for column in columns]
-        bounds *= size if translate else 1
-        jumped = jumps(bounds)
-        if jumped:
-            advance(base + radix)  # no box of the prefix can beat the incumbent
-            continue
-        if packed and translate:  # column t is column 0 translated by t
-            counts = [tally([y ^ t for y in columns[0]]) for t in range(size)]
-        # each box's b(t) summed, in rank order (lasts are combinations)
-        sums = list(map(sum, itertools.combinations(bounds, q)))
-        for k in [k for k in range(first, radix) if collides or sums[k] > best]:
-            last = lasts[k]
-            if collides:
-                image_of_box(spec, QBox(prefix + (last,), n))  # refuses a repeat, naming it
-            # a box's counts are its columns' summed, and their bound its root bound
-            if sums[k] <= best or packed and slice_bound(
-                    map(view(sum([counts[t] for t in last])).__getitem__, fields), q, best) <= best:
-                continue  # cannot strictly improve, or the incumbent has risen past it
+        base = rank - rank % radix  # a resumed run starts inside its first prefix
+        for k, points in solver.boxes(prefix, rank % radix, lambda: best):
             advance(base + k)
             try:
                 if searched == outer_budget:
@@ -425,14 +419,12 @@ def exact_conductance(spec: PermutationSpec, q: int, *,
                         f"over the budget of {outer_budget}; it stopped at box {rank} of {total}",
                         refused=searched + 1)
                 searched += 1
-                count, sides = _best_box_bnb(
-                    [y ^ t for t in last for y in columns[0]] if translate
-                    else [y for t in last for y in columns[t]], n, w, q, incumbent=best)
+                count, sides = _best_box_bnb(points, n, w, q, incumbent=best)
             except BudgetError:
                 save()
                 raise
             if sides is not None:
-                best, best_u, best_v = count, prefix + (last,), sides
+                best, best_u, best_v = count, prefix + (lasts[k],), sides
         advance(base + radix)
     rank = total
     save()

@@ -764,7 +764,7 @@ def _decode_canonical_body(body: str, bits: int) -> array | None:
     table = array("Q", [0]) * size
     values = np.frombuffer(table, dtype=np.uint64)
     for column in range(digits):  # high nibble first
-        nibbles = nibble_of[rows[:, column]]
+        nibbles = nibble_of[rows[:, column].astype(np.intp)]  # numpy's direct index type
         if nibbles.max() > 15:
             return None
         values <<= 4

@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/exact_sweep.py            # every shape
     PYTHONPATH=src python tests/exact_sweep.py --cheap    # the tier-1 subset
     PYTHONPATH=src python tests/exact_sweep.py --reports  # not the write rule
+    PYTHONPATH=src python tests/exact_sweep.py --unpacked # COUNT_TABLE_BYTES = 0
 
 Prints one line per shape: its name and the sha256 of everything the
 exact search leaves there, run three ways:
@@ -19,7 +20,10 @@ reports, refusals and checkpoint bytes on every shape. With
 ``--reports`` a line hashes only what does not depend on when the engine
 writes checkpoints: the plain outcome, the outcome of a run with a
 checkpoint file, and the file that run leaves when it finishes or a
-budget refuses it. The shapes are
+budget refuses it. ``--unpacked`` first sets
+``conductance.COUNT_TABLE_BYTES = 0``, so every column bound comes from
+``slice_sizes``, as it does where packed counts do not fit, and compares
+that path too; it combines with the other flags. The shapes are
 identity and two random tables at n=1-3 and w=1-3, pi1, pi2, pi3 and
 bothmix at n=1-3, and piw at n=2 w=4, at every q with at most 3,000 boxes,
 plus those of 3,001-21,952 boxes with q <= 4: 155 shapes. The cheap subset
@@ -144,6 +148,8 @@ def lines(cheap: bool, reports: bool = False):
 
 
 def main(argv) -> int:
+    if "--unpacked" in argv:
+        conductance.COUNT_TABLE_BYTES = 0
     for line in lines("--cheap" in argv, "--reports" in argv):
         print(line, flush=True)
     return 0

@@ -978,3 +978,77 @@ def test_the_cheap_sweep_equals_the_engine_before_the_prefix_jump():
     text = "".join(f"{line}\n" for line in exact_sweep.lines(cheap=True))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2e24f9e5a3191c8bc02f6d870997d3ce976d6b6fd1fc64647248388d719ff048")
+
+
+# --- the prefix solver: the scan's bounds on one prefix --------------------
+
+
+# (spec, q, prefix): a table's columns, and a free last word's translates
+_SOLVER_PREFIXES = {
+    "table": (lambda: random_table(3, 2, 3), 2, ((0, 2), (1, 3))),
+    "piw": (lambda: PermutationSpec.piw(2, 4), 3, ((0, 1, 3), (0, 2, 3), (1, 2, 3))),
+}
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "slice_sizes"])
+@pytest.mark.parametrize("name", sorted(_SOLVER_PREFIXES))
+def test_the_prefix_solver_yields_the_boxes_its_bounds_let_through(monkeypatch, name, packed):
+    from condlab import conductance
+    from condlab.boxes import slice_bound, slice_sizes
+
+    # at each fixed incumbent the solver yields, with its image, each box of
+    # one prefix whose columns' root bounds b(t) sum past the incumbent and,
+    # where counts are packed, whose own root bound (the union of its
+    # columns') does too, from a fresh solver and from one whose last
+    # prefix was jumped, which tries one coordinate's b(t) first
+    if not packed:
+        monkeypatch.setattr(conductance, "COUNT_TABLE_BYTES", 0)
+    make_spec, q, prefix = _SOLVER_PREFIXES[name]
+    spec = make_spec()
+    n, w, size = spec.n, spec.w, 1 << spec.n
+    lasts = list(itertools.combinations(range(size), q))
+
+    def root(points):
+        return slice_bound([slice_sizes(points, n, w, j).values() for j in range(w)], q)
+
+    columns = [[spec.apply_packed(pack_words(words + (t,), n))
+                for words in itertools.product(*prefix)] for t in range(size)]
+    b = list(map(root, columns))
+    filtered_by_root = False
+    for incumbent in range(-1, q ** w + 1):
+        by_sums = [k for k, last in enumerate(lasts) if sum(b[t] for t in last) > incumbent]
+        want = [(k, sorted(y for t in lasts[k] for y in columns[t])) for k in by_sums]
+        if packed:
+            kept = [(k, image) for k, image in want if root(image) > incumbent]
+            filtered_by_root |= kept != want
+            want = kept
+        for first, after_jump in itertools.product((0, 1), (False, True)):
+            solver = conductance._PrefixSolver(spec, q, lasts)
+            if after_jump:
+                assert list(solver.boxes(prefix, 0, lambda: q ** w)) == [] and solver.jumped
+            got = [(k, sorted(points))
+                   for k, points in solver.boxes(prefix, first, lambda: incumbent)]
+            assert got == [(k, image) for k, image in want if k >= first], (incumbent, first)
+            assert solver.jumped == (not by_sums)
+    # a free last word's boxes hold q translates of column 0 each, and at
+    # this shape their own root bounds drop none of them
+    assert filtered_by_root == (packed and name == "table")
+
+
+def test_a_free_last_word_jumps_on_its_translated_column_bounds(monkeypatch):
+    from condlab import conductance
+
+    # after a jumped prefix one coordinate's b(t) are tried alone first; a
+    # free last word's columns are column 0's translates, so the trial, like
+    # the full test, sums q copies of b(0). piw n=2 w=4 q=3 then jumps 63 of
+    # its 64 prefixes, against 32 when the trial compared b(0) alone
+    jumped = []
+
+    class Recorded(conductance._PrefixSolver):
+        def boxes(self, *args):
+            yield from super().boxes(*args)
+            jumped.append(self.jumped)
+
+    monkeypatch.setattr(conductance, "_PrefixSolver", Recorded)
+    report = exact_conductance(PermutationSpec.piw(2, 4), 3)
+    assert (report.max_count, len(jumped), sum(jumped)) == (69, 64, 63)
