@@ -1,9 +1,9 @@
 """Permutations of ({0,1}^n)^w: named constructions, tables, and files.
 
 A point of the domain is a WordVector of w field elements of degree n.
-Internally points travel as packed integers with word 0 in the most
-significant position; that keeps table lookups, exhaustive scans, and
-file round trips cheap and gives a single pinned ordering everywhere.
+Like every point inside, it is held as one packed integer, word 0 most
+significant, its words unpacked only when read; that keeps table lookups,
+scans and round trips cheap and gives one pinned ordering everywhere.
 
 Named constructions (w = 3 unless noted):
 
@@ -32,13 +32,14 @@ combination of the other sides (``read_words``) and XORs in every
 combination of the free sides. pi3 and bothmix keep their expressions
 in ``_forward``; each expression serves one point and a numpy block.
 
-Single points go through ``apply_packed``, in pure Python, each product
-from ``mul_raw``. The passes over the whole domain are the only places
-numpy loads, each importing it when it runs: ``verify_bijective``,
-``write_table_file`` and the inverse of a table, which evaluate int64
-numpy blocks of ascending inputs (a product is gathered from the
-field's product table, built in numpy) and index with them;
-the bulk load of a table file; and drawing (``random_table``) and
+Single points go through ``apply_packed`` and ``invert_packed``, which
+``eval`` and ``invert`` hand a WordVector's packed int, in pure Python,
+each product from ``mul_raw``. The passes over the whole domain are the
+only places numpy loads, each importing it when it runs:
+``verify_bijective``, ``write_table_file`` and the inverse of a table,
+which evaluate int64 numpy blocks of ascending inputs (a product is
+gathered from the field's product table, built in numpy) and index with
+them; the bulk load of a table file; and drawing (``random_table``) and
 checking (``_packed_table``) a table of at least ``_NUMPY_TABLE_SIZE``
 (2^18) entries. So the per-point layers above (box images, the
 searches, the condenser) and the smaller tables never load it.
@@ -104,31 +105,49 @@ def unpack_words(value: int, n: int, w: int) -> tuple[int, ...]:
     return tuple((value >> (n * (w - 1 - i))) & mask for i in range(w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class WordVector:
-    """A point of ({0,1}^n)^w; ``words`` are raw n-bit field elements."""
+    """A point of ({0,1}^n)^w, held as its packed int; ``words``, its raw
+    n-bit field elements, are unpacked on read."""
 
-    words: tuple[int, ...]
+    _packed: int
     n: int
+    w: int
 
-    def __post_init__(self):
-        if len(self.words) < 1:
+    def __init__(self, words, n: int):
+        if len(words) < 1:
             raise ShapeError("a word vector needs at least one word")
-        limit = 1 << self.n
-        for wd in self.words:
+        limit, packed = 1 << n, 0
+        for wd in words:
+            try:
+                wd = operator.index(wd)
+            except TypeError:
+                raise ShapeError(f"word {wd!r} is not an int") from None
             if not 0 <= wd < limit:
-                raise ShapeError(f"word {wd:#x} does not fit in {self.n} bits")
+                raise ShapeError(f"word {wd:#x} does not fit in {n} bits")
+            packed = (packed << n) | wd
+        self.__dict__.update(_packed=packed, n=n, w=len(words))  # frozen: past __setattr__
 
     @property
-    def w(self) -> int:
-        return len(self.words)
+    def words(self) -> tuple[int, ...]:
+        return unpack_words(self._packed, self.n, self.w)
 
     def packed(self) -> int:
-        return pack_words(self.words, self.n)
+        return self._packed
+
+    def __repr__(self) -> str:
+        return f"WordVector(words={self.words}, n={self.n})"
 
     @classmethod
     def from_packed(cls, value: int, n: int, w: int) -> "WordVector":
-        return cls(unpack_words(value, n, w), n)
+        value = operator.index(value)
+        if w < 1:
+            raise ShapeError("a word vector needs at least one word")
+        if not 0 <= value < 1 << (n * w):
+            raise ShapeError(f"packed value {value:#x} does not fit in {w} words of {n} bits")
+        vec = cls.__new__(cls)
+        vec.__dict__.update(_packed=value, n=n, w=w)
+        return vec
 
 
 @dataclass
@@ -298,11 +317,11 @@ class PermutationSpec:
 
     def eval(self, x: WordVector) -> WordVector:
         self._check_shape(x)
-        return WordVector.from_packed(self.apply_packed(x.packed()), self.n, self.w)
+        return WordVector.from_packed(self.apply_packed(x._packed), self.n, self.w)
 
     def invert(self, y: WordVector) -> WordVector:
         self._check_shape(y)
-        return WordVector.from_packed(self.invert_packed(y.packed()), self.n, self.w)
+        return WordVector.from_packed(self.invert_packed(y._packed), self.n, self.w)
 
     def _check_shape(self, x: WordVector):
         if x.n != self.n or x.w != self.w:

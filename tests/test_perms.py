@@ -52,8 +52,31 @@ def _spec(kind, n, w=3):
 
 def test_packing_round_trip():
     for value in range(64):
-        assert pack_words(unpack_words(value, 2, 3), 2) == value
+        words = unpack_words(value, 2, 3)
+        assert pack_words(words, 2) == value
+        built, unpacked = WordVector(words, 2), WordVector.from_packed(value, 2, 3)
+        assert built == unpacked and hash(built) == hash(unpacked)
+        assert built.packed() == unpacked.packed() == value
+        for vec in (built, unpacked):
+            assert (vec.words, vec.n, vec.w) == (words, 2, 3)
+            assert type(vec.words) is tuple and {type(wd) for wd in vec.words} == {int}
+            assert type(vec.packed()) is int
     assert pack_words((1, 2, 3), 4) == 0x123
+    assert WordVector((1, 2, 3), 4).packed() == 0x123
+    assert WordVector.from_packed(0x123, 4, 3).words == (1, 2, 3)
+    # the same packed int is another point under another n or w
+    assert WordVector((1, 2, 3), 2) != WordVector((1, 2, 3), 3)
+    assert WordVector.from_packed(0x1b, 2, 3) != WordVector.from_packed(0x1b, 2, 4)
+    assert WordVector((1, 2, 3), 2) != (1, 2, 3)
+    assert len({WordVector((1, 2, 3), 2), WordVector.from_packed(0x1b, 2, 3),
+                WordVector((0, 1, 2, 3), 2), WordVector((1, 2, 3), 3)}) == 3
+    assert repr(WordVector((1, 2, 3), 2)) == "WordVector(words=(1, 2, 3), n=2)"
+    assert repr(WordVector.from_packed(5, 3, 1)) == "WordVector(words=(5,), n=3)"
+    vec = WordVector((1, 2, 3), 2)
+    for name, value in (("words", (0, 0, 0)), ("n", 3), ("w", 2), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(vec, name, value)
+    assert (vec.words, vec.n, vec.w) == ((1, 2, 3), 2, 3)
 
 
 def test_pi1_formula_examples():
@@ -408,6 +431,59 @@ def test_shape_validation():
         spec.eval(WordVector((1, 1), 2))
     with pytest.raises(ShapeError):
         spec.eval(WordVector((1, 1, 1), 3))
+    with pytest.raises(ShapeError):
+        spec.invert(WordVector.from_packed(0, 2, 4))
+    for refused in (lambda: WordVector((), 2), lambda: WordVector.from_packed(0, 2, 0)):
+        with pytest.raises(ShapeError) as exc:
+            refused()
+        assert str(exc.value) == "a word vector needs at least one word"
+    for word in (4, -1, 1 << 70):
+        with pytest.raises(ShapeError) as exc:
+            WordVector((1, word, 1), 2)
+        assert str(exc.value) == f"word {word:#x} does not fit in 2 bits"
+    assert WordVector((True, 0, 1), 1) == WordVector((1, 0, 1), 1)
+
+
+@pytest.mark.parametrize("value", [-1, 64, 1 << 70])
+def test_from_packed_refuses_a_value_outside_the_domain(value):
+    with pytest.raises(ShapeError) as exc:
+        WordVector.from_packed(value, 2, 3)
+    assert str(exc.value) == f"packed value {value:#x} does not fit in 3 words of 2 bits"
+
+
+def test_words_are_read_as_ints_and_others_refused_at_construction():
+    import numpy as np
+
+    vec = WordVector((True, np.int64(2), np.uint8(3)), 2)
+    assert vec == WordVector((1, 2, 3), 2)
+    assert {type(wd) for wd in vec.words} == {int} and type(vec.packed()) is int
+    assert PermutationSpec.pi1(2).eval(vec).words == (1, 2, 3 ^ 2)
+    for word in (1.0, "1", None):
+        with pytest.raises(ShapeError) as exc:
+            WordVector((word, 1, 1), 2)
+        assert str(exc.value) == f"word {word!r} is not an int"
+
+
+def test_eval_and_invert_outputs_are_pinned(tmp_path):
+    path = tmp_path / "t.tbl"
+    write_table_file(random_table(8, 4, 3), path)
+    specs = ([PermutationSpec.identity(5, 4)]
+             + [PermutationSpec(kind, n, 3) for kind in ("pi1", "pi2", "pi3", "bothmix")
+                for n in (5, 61)]
+             + [PermutationSpec.piw(n, w) for n in (3, 61) for w in range(4, 8)]
+             + [random_table(7, 3, 3), load_table_file(path)])
+    h = hashlib.sha256()
+    for spec in specs:
+        rng = random.Random(f"{spec.kind}/{spec.n}/{spec.w}")
+        for _ in range(40):
+            x = WordVector(tuple(rng.randrange(1 << spec.n) for _ in range(spec.w)), spec.n)
+            if spec.kind == "bothmix" and x.words[0] == 1:
+                continue  # the collapsed plane has no unique preimage
+            y, back = spec.eval(x), spec.invert(x)
+            assert spec.invert(y) == x == spec.eval(back)
+            h.update(f"{spec.kind} {spec.n} {x.words} {y.words} {back.words}\n".encode())
+    assert h.hexdigest() == (
+        "315ca4390d6872965305a636e5018c20c9670229d25d29901d828b4c585e9fdc")
 
 
 def test_verify_budget_error_suggests_sampling():
