@@ -227,6 +227,7 @@ def combination_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
     total = comb(universe, k)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for C({universe},{k})")
+    # dense draws keep this walk: the binary search alone took over 20 s at n=13, q=4096
     if universe > k * k:
         return _sparse_unrank(rank, universe, k)
     out = []

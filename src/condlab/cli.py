@@ -62,7 +62,7 @@ def _collect_config(args, *, need_eps=()) -> None:
         value = getattr(args, name)
         if value is None:
             issues.append(f"--{name} is required")
-        elif value < 0:
+        elif not value >= 0:
             issues.append(f"--{name} must be nonnegative")
 
     n, w = args.n, getattr(args, "w", None)

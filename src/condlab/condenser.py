@@ -14,9 +14,8 @@ per-coordinate min-entropy boost of the uniform distribution on C_i, and
 The residual bound |R0| <= 2^((1-eps3)*alpha_n*w) is conditional: it
 needs every q-box V to satisfy |S ∩ V| < 2^(alpha_n*w*(1-eps1-eps2-eps3-
 1/alpha_n)). ``verify_converse_bounds`` checks that precondition on the
-exact maximum, certified by a greedy box that meets the root slice bound
-or else found by the exact inner search, and otherwise marks the bound
-unverified.
+exact maximum, which the exact inner search finds from a greedy box's
+count, and otherwise marks the bound unverified.
 
 The scan order of slices is pinned (coordinate ascending, then value
 ascending) so reference traces are reproducible. Size-versus-threshold comparisons
@@ -34,9 +33,9 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
+from . import conductance
 from .boxes import (PointSet, _check_box_params, greedy_box, image_of_box, intersection_count,
-                    random_box, slice_bound, slice_sizes, slices, word_field)
-from .conductance import best_V_for_U
+                    random_box, slice_sizes, slices, word_field)
 from .errors import BudgetError, RangeError, ShapeError
 from .perms import PermutationSpec, parse_hex
 
@@ -376,15 +375,14 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     """Check the residual bounds of a decomposition.
 
     The R0 bound needs the exact maximum of |S ∩ V| over q-boxes V for the
-    source set S. The box of :func:`~condlab.boxes.greedy_box`, replayed on
-    S, certifies it when its count meets S's root bound (the top-q slice
-    bound over all w coordinates), which no q-box passes; otherwise
-    :func:`best_V_for_U` computes it under the inner search's node budget.
+    source set S: the exact inner search finds it under its node budget,
+    seeded with the replayed count of :func:`~condlab.boxes.greedy_box`'s
+    box, so it stops at once where that count meets S's root bound.
     The precondition stays unchecked, and the R0 bound unverified, when q is
     not an integer, when q exceeds the alphabet size 2^n (no q-box exists),
     when S is empty, or when the search exceeds its budget.
     """
-    if eps3 < 0:
+    if not eps3 >= 0:
         raise RangeError(f"eps3 must be nonnegative, got {eps3}")
     alpha_n, w = dec.alpha_n, dec.w
     pre_exp = alpha_n * w * (1 - dec.eps1 - dec.eps2 - eps3) - w
@@ -398,9 +396,8 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     elif isinstance(dec.q, int) and len(source):
         q = dec.q
         greedy = intersection_count(source, greedy_box(source, q)[0])
-        root = slice_bound([slice_sizes(source.points, dec.n, w, j).values() for j in range(w)], q)
         try:
-            max_int = greedy if greedy == root else best_V_for_U(source, q)[1]
+            max_int = conductance._best_box_bnb(source.points, dec.n, w, q, incumbent=greedy)[0]
         except BudgetError as exc:
             note += f" ({exc})"
         else:
@@ -546,6 +543,7 @@ def empirical_condenser_profile(spec: PermutationSpec, alpha_n: float,
 
     target_shift = (1 + eps1) * alpha_n
 
+    # a function, not a loop body: a loop keeps one trial's image alive through the next
     def run_trial(index, ranks, box):
         img = image_of_box(spec, box)
         dec = decompose(img, alpha_n, eps1, eps2)

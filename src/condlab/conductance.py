@@ -134,6 +134,8 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1):
     ones, which include the lexicographically first side for every set of
     held values, so no branch depends on the alphabet size 2^n. The last
     coordinate takes :func:`fattest_side`, the first side that meets the bound.
+    Only the branched coordinate is grouped; later ones are bounded from
+    :func:`slice_sizes`, so an incumbent at the root bound costs one node.
     """
     best = incumbent
     best_sides = None
@@ -147,11 +149,11 @@ def _best_box_bnb(points, n: int, w: int, q: int, incumbent: int = -1):
             raise BudgetError(f"inner search exceeded its node budget of {node_budget}",
                               refused=nodes)
         # a q-box keeps at most the q fattest slices of each coordinate
-        groups = [slices(pts, n, w, j) for j in range(depth, w)]
-        bound = slice_bound([map(len, g.values()) for g in groups], q)
+        by_value = slices(pts, n, w, depth)
+        rest = (slice_sizes(pts, n, w, j).values() for j in range(depth + 1, w))
+        bound = slice_bound(itertools.chain([map(len, by_value.values())], rest), q, best)
         if bound <= best:
             return
-        by_value = groups[0]
         if depth == w - 1:
             best, best_sides = bound, chosen + (fattest_side(by_value, q),)
             return
@@ -579,7 +581,7 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 
     condenser = condenser_vac = None
     if eps1 is not None and eps2 is not None:
-        if eps1 < 0 or eps2 < 0:
+        if not (eps1 >= 0 and eps2 >= 0):
             raise RangeError("eps1 and eps2 must be nonnegative")
         if eps2 == 0:
             condenser = w - eps1
@@ -591,6 +593,8 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 
     repetition = repetition_vac = None
     if c is not None:
+        if math.isnan(c):
+            raise RangeError("c must be a number, got nan")
         repetition = w - (w // 3) * c
         repetition_vac = not (1.0 <= repetition <= w)
 

@@ -293,6 +293,18 @@ def test_intersection_count_examples():
     assert intersection_count(img, disjoint) == 0
 
 
+@pytest.mark.parametrize("box", [QBox(((0, 1),) * 2, 2), QBox(((0, 1),) * 3, 3)],
+                         ids=["w", "n"])
+def test_a_box_of_another_shape_is_refused(box):
+    spec = PermutationSpec.pi1(2)
+    with pytest.raises(ShapeError) as exc:
+        image_of_box(spec, box)
+    assert str(exc.value) == f"box shape (n={box.n}, w={box.w}) does not match spec (n=2, w=3)"
+    with pytest.raises(ShapeError) as exc:
+        intersection_count(PointSet([0, 1], 2, 3), box)
+    assert str(exc.value) == "point set and box shapes disagree"
+
+
 def test_intersection_count_matches_membership_oracle():
     rng = random.Random(7)
     for _ in range(30):

@@ -472,3 +472,52 @@ def test_bad_box_files_are_parse_errors(sides, message, tmp_path, capsys):
     path.write_text("condlab-box v1 n=2 w=3 q=2\n" + sides)
     assert run(*DECOMPOSE_PI1, "--box-file", str(path)) == 1
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+PI1_Q2 = ("--spec", "pi1", "--n", "2", "--q", "2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cond", *PI1_Q2, "--alpha-n", "1"), "--q and --alpha-n are mutually exclusive"),
+    (("decompose", *PI1_Q2, "--eps2", "0.25", "--eps3", "0.1"), "--eps1 is required"),
+    (("decompose", *PI1_Q2, "--eps1", "-0.5", "--eps2", "0.25", "--eps3", "0.1"),
+     "--eps1 must be nonnegative"),
+    (("cond", "--spec", "table", "--q", "2"), "--table-file is required for table specs"),
+    (("cond", "--spec", "piw", "--n", "2", "--w", "2", "--q", "2"),
+     "--spec piw requires --w of at least 3"),
+    (("cond", "--spec", "identity", "--n", "2", "--q", "2"),
+     "--w is required for --spec identity"),
+    (("bounds", "--n", "2", "--q", "2"), "--w is required"),
+    (("cond", "--spec", "pi1", "--n", "2", "--q", "5"), "--q 5 exceeds the alphabet size 2^2"),
+], ids=["q-and-alpha-n", "no-eps1", "negative-eps1", "table-without-file", "piw-w2",
+        "identity-without-w", "bounds-without-w", "q-over-alphabet"])
+def test_configuration_refusals_are_one_error_line(argv, message, capsys):
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: invalid configuration: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", *PI1_Q2, "--eps1", "0.25", "--eps2", "0.25", "--eps3", "nan",
+      "--box-seed", "5"), "invalid configuration: --eps3 must be nonnegative"),
+    (("bounds", "--n", "16", "--w", "3", "--q", "4", "--eps1", "nan", "--eps2", "0.25"),
+     "eps1 and eps2 must be nonnegative"),
+    (("bounds", "--n", "16", "--w", "3", "--q", "4", "--c", "nan"),
+     "c must be a number, got nan"),
+    (("experiment", "--n", "2", "--q", "2", "--w-list", "2", "--eps2", "nan"),
+     "eps1 and eps2 must be nonnegative"),
+], ids=["decompose-eps3", "bounds-eps1", "bounds-c", "experiment-eps2"])
+def test_a_nan_parameter_is_refused_before_any_output(argv, message, tmp_path, capsys):
+    # nan passes a "< 0" check; written out it is not JSON, and it reads
+    # as a failed precondition
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_box_file_of_another_shape_is_refused(tmp_path, capsys):
+    path = tmp_path / "box.txt"
+    write_box_file(QBox(((0, 1, 2),) * 3, 2), path)
+    assert run(*DECOMPOSE_PI1, "--box-file", str(path)) == 1
+    assert capsys.readouterr() == ("", "error: box file shape (n=2, w=3, q=3) does not match "
+                                       "the requested parameters\n")

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from condlab import condenser, conductance
-from condlab.boxes import PointSet, QBox, enumerate_qboxes, image_of_box, random_box
+from condlab.boxes import (PointSet, QBox, enumerate_qboxes, greedy_box, image_of_box,
+                           intersection_count, random_box, slice_bound, slice_sizes)
 from condlab.conductance import best_V_for_U
 from condlab.condenser import (
     Decomposition,
@@ -389,14 +390,20 @@ def test_identity_box_image_marks_r0_unverified():
 
 
 def test_a_certified_greedy_count_is_the_exact_maximum(monkeypatch):
-    # the precondition's maximum, with and without the inner search, on the
-    # images of seeded boxes
-    searched = []
+    # on the images of seeded boxes, each check makes one inner search,
+    # seeded with greedy's replayed count; where that count meets the root
+    # bound the search certifies it at once, and the maximum is always the
+    # unseeded search's
+    calls = []
     real_inner = conductance._best_box_bnb
-    monkeypatch.setattr(conductance, "_best_box_bnb",
-                        lambda *args, **kw: searched.append(1) or real_inner(*args, **kw))
+
+    def inner(*args, **kw):
+        calls.append((kw.get("incumbent"), real_inner(*args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(conductance, "_best_box_bnb", inner)
     rng = random.Random(11)
-    checks = 0
+    checks = certified = 0
     for spec in (PermutationSpec.pi1(3), PermutationSpec.pi2(3), PermutationSpec.pi3(3),
                  random_table(6, 3, 3), PermutationSpec.piw(2, 4)):
         for q in (2, 3, 4):
@@ -404,10 +411,18 @@ def test_a_certified_greedy_count_is_the_exact_maximum(monkeypatch):
                 image = image_of_box(spec, random_box(rng, spec.n, q, spec.w)[1])
                 dec = decompose(image, math.log2(q), 0.25, 0.25)
                 report = verify_converse_bounds(dec, 0.1)
-                assert report.max_box_intersection == best_V_for_U(image, q)[1]
+                [(incumbent, (count, sides))] = calls
+                greedy = intersection_count(image, greedy_box(image, q)[0])
+                assert incumbent == greedy
+                root = slice_bound([slice_sizes(image.points, spec.n, spec.w, j).values()
+                                    for j in range(spec.w)], q)
+                if greedy == root:
+                    assert (count, sides) == (greedy, None)
+                    certified += 1
+                assert report.max_box_intersection == count == best_V_for_U(image, q)[1]
+                calls.clear()
                 checks += 1
-    # best_V_for_U ran once per check above; the rest ran in the bounds check
-    assert 0 < len(searched) - checks < checks
+    assert 0 < certified < checks
 
 
 def test_the_converse_check_of_a_4096_point_image_ends(tmp_path):
@@ -425,9 +440,8 @@ def test_the_converse_check_of_a_4096_point_image_ends(tmp_path):
 
 
 def test_verified_branch_arithmetic_with_synthetic_precondition(monkeypatch):
-    # force the precondition to hold to exercise the conditional R0 bound;
-    # greedy keeps 12 of these points at q=4, under their root bound of 20,
-    # so the maximum comes from the (faked) inner search
+    # force the precondition to hold to exercise the conditional R0 bound:
+    # the maximum comes from the (faked) inner search
     monkeypatch.setattr(conductance, "_best_box_bnb",
                         lambda points, n, w, q, **_: (1, ((0, 1, 2, 3),) * 3))
     ps = PointSet(random.Random(3).sample(range(512), 30), 3, 3)
@@ -447,8 +461,7 @@ def test_refused_inner_search_leaves_the_precondition_unverified(monkeypatch):
                           refused=budget + 1)
 
     monkeypatch.setattr(conductance, "_best_box_bnb", refuse)
-    # the 16 points (a, b, a^b): greedy keeps 4 at q=2, under the root
-    # bound of 8, so the inner search runs
+    # the 16 points (a, b, a^b)
     points = PointSet([(a << 4) | (b << 2) | (a ^ b) for a in range(4) for b in range(4)], 2, 3)
     dec = decompose(points, 1.0, 0.25, 0.25)
     report = verify_converse_bounds(dec, 0.1)
@@ -474,6 +487,15 @@ def test_empty_decomposition_is_not_checked():
     assert report.precondition_held is None
     assert by_name["r0_size"].note == "unverified: intersection precondition not checked"
     assert by_name["r1_size"].holds is True
+
+
+@pytest.mark.parametrize("eps3", [-0.1, math.nan])
+def test_a_negative_or_nan_eps3_is_refused(eps3):
+    # nan passes an "eps3 < 0" check and reaches the report as NaN
+    dec = decompose(PointSet(range(8), 1, 3), 1.0, 0.25, 0.25)
+    with pytest.raises(RangeError) as exc:
+        verify_converse_bounds(dec, eps3)
+    assert str(exc.value) == f"eps3 must be nonnegative, got {eps3}"
 
 
 def test_side_larger_than_the_alphabet_leaves_the_precondition_unchecked():
@@ -633,6 +655,12 @@ def test_profile_deterministic_across_threads():
 def test_profile_rejects_fractional_side_size():
     with pytest.raises(RangeError):
         empirical_condenser_profile(PermutationSpec.pi1(2), 0.5, 0.1, 0.1, 1, 0)
+
+
+def test_profile_rejects_negative_trials():
+    with pytest.raises(RangeError) as exc:
+        empirical_condenser_profile(PermutationSpec.pi1(2), 1.0, 0.1, 0.1, -1, 0)
+    assert str(exc.value) == "trials must be nonnegative, got -1"
 
 
 def test_profile_rejects_a_side_size_past_the_float_range():

@@ -16,8 +16,10 @@ from condlab.boxes import (
     QBox,
     PointSet,
     enumerate_qboxes,
+    greedy_box,
     image_of_box,
     intersection_count,
+    random_box,
 )
 from condlab.cli import main as cli_main
 from condlab.conductance import (
@@ -438,6 +440,37 @@ def test_best_v_rejects_empty_set():
         best_V_for_U(PointSet([], 2, 2), 1)
 
 
+def test_best_v_rejects_a_zero_side():
+    with pytest.raises(ShapeError) as exc:
+        best_V_for_U(PointSet([0, 1], 2, 3), 0)
+    assert str(exc.value) == "need w >= 1 and q >= 1, got w=3, q=0"
+
+
+@pytest.mark.parametrize("spec, q, unseeded, seeded", [
+    (PermutationSpec.pi1(4), 3, 88, 1),
+    (PermutationSpec.pi1(4), 4, 285, 1),
+    (PermutationSpec.pi3(4), 3, 129, 36),
+    (PermutationSpec.pi3(4), 4, 2471, 1727),
+    (random_table(3, 3, 3), 3, 129, 81),
+    (random_table(3, 3, 3), 4, 1176, 957),
+    (PermutationSpec.piw(2, 4), 3, 20, 1),
+    (PermutationSpec.piw(2, 4), 4, 4, 1),
+], ids=lambda v: v.kind if isinstance(v, PermutationSpec) else str(v))
+def test_inner_search_node_counts_are_pinned(monkeypatch, spec, q, unseeded, seeded):
+    # the least node budget under which the search of a seeded box's image
+    # finishes, unseeded and seeded with greedy's replayed count: the
+    # slices a node groups, and how it bounds them, move no prune
+    from condlab import conductance
+    image = image_of_box(spec, random_box(random.Random(0), spec.n, q, spec.w)[1])
+    greedy = intersection_count(image, greedy_box(image, q)[0])
+    for incumbent, nodes in ((-1, unseeded), (greedy, seeded)):
+        monkeypatch.setattr(conductance, "INNER_NODE_BUDGET", nodes)
+        conductance._best_box_bnb(image.points, spec.n, spec.w, q, incumbent=incumbent)
+        monkeypatch.setattr(conductance, "INNER_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetError):
+            conductance._best_box_bnb(image.points, spec.n, spec.w, q, incumbent=incumbent)
+
+
 # --- heuristic ------------------------------------------------------------------
 
 
@@ -520,6 +553,9 @@ def test_conversion_range_errors():
         condd_to_cond(4, 2.5, w=2)
     with pytest.raises(RangeError):
         cond_to_condd(4, 2.0)
+    with pytest.raises(RangeError) as exc:
+        cond_to_condd(1, 2.0)
+    assert str(exc.value) == "q must be at least 2, got 1"
 
 
 def test_degree_from_count_q1_reports_w():
@@ -555,6 +591,20 @@ def test_random_perm_bound_and_precondition():
     assert sheet.random_perm_precondition_ok  # 0.125 <= 0.5 - 1/48
     tight = bound_sheet(2, 2, 4)  # alpha = 1 > 0.25
     assert not tight.random_perm_precondition_ok
+
+
+@pytest.mark.parametrize("args, kw, message", [
+    ((0, 3, 4), {}, "need n,w >= 1 and q >= 2, got n=0, w=3, q=4"),
+    ((4, 3, 4), {"eps1": -1, "eps2": 0}, "eps1 and eps2 must be nonnegative"),
+    ((4, 3, 4), {"eps1": math.nan, "eps2": 0}, "eps1 and eps2 must be nonnegative"),
+    ((4, 3, 4), {"eps1": 0, "eps2": math.nan}, "eps1 and eps2 must be nonnegative"),
+    ((4, 3, 4), {"c": math.nan}, "c must be a number, got nan"),
+], ids=["n0", "negative-eps1", "nan-eps1", "nan-eps2", "nan-c"])
+def test_bound_sheet_refusals(args, kw, message):
+    # nan passes a "< 0" check and comes out as a NaN bound
+    with pytest.raises(RangeError) as exc:
+        bound_sheet(*args, **kw)
+    assert str(exc.value) == message
 
 
 def test_vacuous_flags():

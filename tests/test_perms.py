@@ -18,6 +18,7 @@ from condlab.errors import (
     NotAPermutationError,
     ShapeError,
     TableFormatError,
+    UnsupportedDegreeError,
 )
 from condlab.gf2n import default_poly, mul_raw
 from condlab.perms import (
@@ -444,6 +445,26 @@ def test_shape_validation():
     assert WordVector((True, 0, 1), 1) == WordVector((1, 0, 1), 1)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PermutationSpec("pi9", 2, 3), ValueError, "unknown permutation kind 'pi9'"),
+    (lambda: PermutationSpec("pi1", 0, 3), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 0"),
+    (lambda: PermutationSpec("pi1", 65, 3), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 65"),
+    (lambda: PermutationSpec.identity(2, 0), ShapeError, "w must be at least 1"),
+    (lambda: PermutationSpec("random", 2, 2), ValueError, "random spec needs a table"),
+    (lambda: PermutationSpec("identity", 1, 2, table=[0, 1, 2, 3]), ValueError,
+     "identity spec does not take a table"),
+    (lambda: PermutationSpec.explicit(range(7), 1, 3), NotAPermutationError,
+     "table has 7 entries, expected 8"),
+], ids=["kind", "n0", "n65", "w0", "random-without-table", "identity-with-table",
+        "short-table"])
+def test_spec_construction_refusals(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("value", [-1, 64, 1 << 70])
 def test_from_packed_refuses_a_value_outside_the_domain(value):
     with pytest.raises(ShapeError) as exc:
@@ -788,8 +809,10 @@ CANONICAL = "condlab-table v1 n=2 w=3\n" + "".join(
     lambda t: t.replace("\n", "\r"),
     lambda t: t.replace("n=2 w=3", " n=2  w=3 "),
     lambda t: t[:-1],
+    # the canonical length, with every newline one column early
+    lambda t: t.replace("\n", "\n\n", 1)[:-1],
 ], ids=["crlf", "upper", "blank", "trailing-blank", "spaces", "cr", "header-spaces",
-        "no-final-newline"])
+        "no-final-newline", "shifted-newlines"])
 def test_non_canonical_files_load_as_the_line_walk_reads_them(edit, tmp_path):
     path = tmp_path / "t.tbl"
     path.write_bytes(edit(CANONICAL).encode())
