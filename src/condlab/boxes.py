@@ -33,7 +33,7 @@ from math import comb
 
 from .errors import (PRINTABLE_DIGITS, BudgetError, NotAPermutationError, RangeError,
                      ShapeError, name_count)
-from .perms import PermutationSpec
+from .perms import PermutationSpec, first_repeat
 
 DEFAULT_BOX_BUDGET = 10 ** 6
 POINT_BUDGET = 1 << 22
@@ -396,16 +396,14 @@ def image_of_box(spec: PermutationSpec, box: QBox) -> PointSet:
         return PointSet(_image_points(spec, box.sides), box.n, box.w)
     except ShapeError:
         inputs = box.packed_points()
-        owner = {}
-        for x, y in zip(inputs, map(spec.apply_packed, inputs)):
-            if y in owner:
-                raise NotAPermutationError(
-                    f"box inputs {owner[y]:#x} and {x:#x} both map to {y:#x}; "
-                    "the box searches need a bijection",
-                    witness=(owner[y], x),
-                ) from None
-            owner[y] = x
-        raise
+        pair = first_repeat(zip(inputs, map(spec.apply_packed, inputs)))
+        if pair is None:
+            raise
+        raise NotAPermutationError(
+            f"box inputs {pair[0]:#x} and {pair[1]:#x} both map to "
+            f"{spec.apply_packed(pair[1]):#x}; the box searches need a bijection",
+            witness=pair,
+        ) from None
 
 
 def _image_points(spec: PermutationSpec, sides, evaluate=None) -> list[int]:

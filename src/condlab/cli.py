@@ -18,8 +18,8 @@ import sys
 from . import conductance as cond_mod
 from . import condenser as condenser_mod
 from .boxes import QBox, image_of_box, random_box
-from .errors import BudgetError, CondlabError, TableFormatError
-from .gf2n import selfcheck
+from .errors import BudgetError, CondlabError, TableFormatError, finite_at_least
+from .gf2n import MAX_DEGREE, selfcheck
 from .perms import (
     KINDS,
     TRIPLE_KINDS,
@@ -62,12 +62,12 @@ def _collect_config(args, *, need_eps=()) -> None:
         value = getattr(args, name)
         if value is None:
             issues.append(f"--{name} is required")
-        elif not value >= 0:
+        elif not finite_at_least(value, 0):
             issues.append(f"--{name} must be nonnegative")
 
     n, w = args.n, getattr(args, "w", None)
-    if n is not None and not 1 <= n <= 64:
-        issues.append(f"--n must be in 1..64, got {n}")
+    if n is not None and not 1 <= n <= MAX_DEGREE:
+        issues.append(f"--n must be in 1..{MAX_DEGREE}, got {n}")
     if w is not None and w < 1:
         issues.append(f"--w must be at least 1, got {w}")
     threads = getattr(args, "threads", 1)

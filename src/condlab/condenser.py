@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import conductance
 from .boxes import (PointSet, _check_box_params, greedy_box, image_of_box, intersection_count,
                     random_box, slice_sizes, slices, word_field)
-from .errors import BudgetError, RangeError, ShapeError
+from .errors import BudgetError, RangeError, ShapeError, finite_at_least
 from .perms import PermutationSpec, parse_hex
 
 
@@ -101,9 +101,9 @@ def keep_exponent(alpha_n: float, w: int, eps2: float) -> float:
 
 
 def _check_parameters(alpha_n: float, w: int, eps1: float, eps2: float) -> None:
-    """RangeError unless eps1, eps2 and alpha_n are nonnegative (not nan) and
-    the box size 2^(alpha_n*w) lies in the float range."""
-    if not (eps1 >= 0 and eps2 >= 0):
+    """RangeError unless eps1 and eps2 are finite and nonnegative, and alpha_n
+    is nonnegative (not nan) with a box size 2^(alpha_n*w) in the float range."""
+    if not (finite_at_least(eps1, 0) and finite_at_least(eps2, 0)):
         raise RangeError(f"eps1 and eps2 must be nonnegative, got {eps1}, {eps2}")
     if not alpha_n >= 0 or math.isinf(side_size(alpha_n * w)):
         raise RangeError(f"alpha_n must be nonnegative with a box size 2^(alpha_n*w) in "
@@ -119,9 +119,10 @@ class Decomposition:
     what remained when no bottleneck slice was left. ``slice_log`` records
     every cut as (iteration, coordinate, value, size), 1-based iterations.
 
-    Construction refuses a negative (or nan) alpha_n, eps1 or eps2, and an
-    alpha_n whose box size q^w = 2^(alpha_n*w) lies past the float range:
-    the bound checks could not evaluate their thresholds.
+    Construction refuses a negative or non-finite eps1 or eps2, a negative
+    (or nan) alpha_n, and an alpha_n whose box size q^w = 2^(alpha_n*w)
+    lies past the float range: the bound checks could not evaluate their
+    thresholds.
     """
 
     parts: tuple
@@ -382,7 +383,7 @@ def verify_converse_bounds(dec: Decomposition, eps3: float) -> ConverseReport:
     not an integer, when q exceeds the alphabet size 2^n (no q-box exists),
     when S is empty, or when the search exceeds its budget.
     """
-    if not eps3 >= 0:
+    if not finite_at_least(eps3, 0):
         raise RangeError(f"eps3 must be nonnegative, got {eps3}")
     alpha_n, w = dec.alpha_n, dec.w
     pre_exp = alpha_n * w * (1 - dec.eps1 - dec.eps2 - eps3) - w

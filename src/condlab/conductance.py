@@ -60,7 +60,7 @@ from .boxes import (
     slices,
     _check_box_params,
 )
-from .errors import BudgetError, CondlabError, RangeError, ShapeError
+from .errors import BudgetError, CondlabError, RangeError, ShapeError, finite_at_least
 from .perms import PermutationSpec, parse_hex
 
 INNER_NODE_BUDGET = 10 ** 7
@@ -180,15 +180,16 @@ def best_V_for_U(points: PointSet, q: int) -> tuple[QBox, int]:
 # --- exact outer search ----------------------------------------------------
 
 
-def _replays(spec: PermutationSpec, q: int, count: int, u_sides, v_sides) -> bool:
-    """True when the sides are two q-boxes of the spec's shape and
-    |pi(U) ∩ V| is ``count``, at least 1, as a report must replay."""
+def _replay(spec: PermutationSpec, q: int, u_sides, v_sides) -> int | None:
+    """|pi(U) ∩ V|, the count a witness pair certifies, or None when the
+    sides are not two q-boxes of the spec's shape."""
     try:
         u, v = QBox(u_sides, spec.n), QBox(v_sides, spec.n)
     except ShapeError:
-        return False
-    return (u.w == v.w == spec.w and u.q == v.q == q and count >= 1
-            and intersection_count(image_of_box(spec, u), v) == count)
+        return None
+    if u.w == v.w == spec.w and u.q == v.q == q:
+        return intersection_count(image_of_box(spec, u), v)
+    return None
 
 
 def _report(spec: PermutationSpec, q: int, mode: str, count: int, u_sides, v_sides,
@@ -335,7 +336,7 @@ def _resume(path, spec: PermutationSpec, q: int, radix: int, digest):
     best, best_u, best_v = ck["max_count"], ck["witness_u"], ck["witness_v"]
     if (not 0 <= start <= radix ** spec.w or rank_to_digits(start, radix, spec.w) != ck["cursor"]
             or ck["boxes_examined"] != start
-            or not (_replays(spec, q, best, best_u, best_v) if start
+            or not (best >= 1 and _replay(spec, q, best_u, best_v) == best if start
                     else (best, best_u, best_v) == (-1, None, None))):
         raise CondlabError(f"checkpoint {path} holds an invalid cursor "
                            f"{ck['cursor']} (boxes_examined={ck['boxes_examined']}) "
@@ -490,7 +491,7 @@ def heuristic_lower_bound(spec: PermutationSpec, q: int, budget: int = 200,
 
     # replay the witness so the reported count is certified; an explicit
     # raise, because python -O strips assert statements
-    replayed = intersection_count(image_of_box(spec, best_u), best_v)
+    replayed = _replay(spec, q, best_u.sides, best_v.sides)
     if replayed != best_count:
         raise AssertionError(
             f"heuristic witness replays to {replayed}, not the claimed {best_count}"
@@ -505,7 +506,7 @@ def condd_to_cond(q: int, condd: float, w: int | None = None) -> float:
     """cond = q**condd (the query-count notation of the same quantity)."""
     if q < 2:
         raise RangeError(f"q must be at least 2, got {q}")
-    if condd < 1 or (w is not None and condd > w):
+    if not finite_at_least(condd, 1) or (w is not None and condd > w):
         hi = w if w is not None else "w"
         raise RangeError(f"condd={condd} outside [1, {hi}]")
     return 2.0 ** (condd * math.log2(q))
@@ -515,7 +516,7 @@ def cond_to_condd(q: int, cond: float, w: int | None = None) -> float:
     """Inverse of :func:`condd_to_cond`."""
     if q < 2:
         raise RangeError(f"q must be at least 2, got {q}")
-    if cond < q or (w is not None and cond > float(q) ** w * (1 + 1e-9)):
+    if not finite_at_least(cond, q) or (w is not None and cond > float(q) ** w * (1 + 1e-9)):
         hi = f"{q}^{w}" if w is not None else "q^w"
         raise RangeError(f"cond={cond} outside [q, {hi}]")
     return math.log2(cond) / math.log2(q)
@@ -581,7 +582,7 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 
     condenser = condenser_vac = None
     if eps1 is not None and eps2 is not None:
-        if not (eps1 >= 0 and eps2 >= 0):
+        if not (finite_at_least(eps1, 0) and finite_at_least(eps2, 0)):
             raise RangeError("eps1 and eps2 must be nonnegative")
         if eps2 == 0:
             condenser = w - eps1
@@ -593,8 +594,8 @@ def bound_sheet(n: int, w: int, q: int, eps1: float | None = None,
 
     repetition = repetition_vac = None
     if c is not None:
-        if math.isnan(c):
-            raise RangeError("c must be a number, got nan")
+        if not finite_at_least(c):
+            raise RangeError(f"c must be a number, got {c}")
         repetition = w - (w // 3) * c
         repetition_vac = not (1.0 <= repetition <= w)
 

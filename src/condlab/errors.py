@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and how a refusal names a count."""
+"""Exception types shared across the package, how a refusal names a count,
+and the test every real parameter (eps1, eps2, eps3, c, condd, cond) passes."""
 
 import math
 
@@ -16,6 +17,11 @@ def name_count(count: int | None, log10: float = 0.0) -> str:
             return f"= {count}"
         log10 = math.log10(count)
     return f">= 10^{math.floor(log10)}"
+
+
+def finite_at_least(value: float, low: float = -math.inf) -> bool:
+    """Whether ``value`` is finite and at least ``low`` (nan fails)."""
+    return -math.inf < value < math.inf and value >= low
 
 
 class CondlabError(Exception):

@@ -22,6 +22,12 @@ MAX_DEGREE = 64
 SELFCHECK_SAMPLES = 2000  # triples a sampled selfcheck draws (inverses: at most 500)
 
 
+def check_degree(n, exact: bool = False) -> None:
+    """An UnsupportedDegreeError unless n is in 1..MAX_DEGREE (and an int if ``exact``)."""
+    if exact and not isinstance(n, int) or not 1 <= n <= MAX_DEGREE:
+        raise UnsupportedDegreeError(f"field degree must be in 1..{MAX_DEGREE}, got {n!r}")
+
+
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two GF(2) polynomials held in ints."""
     acc = 0
@@ -110,10 +116,7 @@ class ReductionPolynomial:
     poly: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise UnsupportedDegreeError(
-                f"field degree must be in 1..{MAX_DEGREE}, got {self.n}"
-            )
+        check_degree(self.n)
         if self.poly.bit_length() - 1 != self.n:
             raise ValueError(
                 f"modulus {self.poly:#x} does not have degree {self.n}"
@@ -125,10 +128,7 @@ class ReductionPolynomial:
 @functools.lru_cache(maxsize=None)
 def default_poly(n: int) -> ReductionPolynomial:
     """The lexicographically smallest irreducible degree-n modulus, cached."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_DEGREE:
-        raise UnsupportedDegreeError(
-            f"field degree must be in 1..{MAX_DEGREE}, got {n!r}"
-        )
+    check_degree(n, exact=True)
     for cand in range(1 << n, 1 << (n + 1)):
         if is_irreducible(cand):
             return ReductionPolynomial(n, cand)
@@ -143,10 +143,7 @@ class FieldElement:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise UnsupportedDegreeError(
-                f"field degree must be in 1..{MAX_DEGREE}, got {self.n}"
-            )
+        check_degree(self.n)
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(
                 f"value {self.bits:#x} does not fit in {self.n} bits"

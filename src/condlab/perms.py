@@ -66,9 +66,8 @@ from .errors import (
     NotAPermutationError,
     ShapeError,
     TableFormatError,
-    UnsupportedDegreeError,
 )
-from .gf2n import MAX_DEGREE, ReductionPolynomial, default_poly, is_prime, mul_raw
+from .gf2n import MAX_DEGREE, ReductionPolynomial, check_degree, default_poly, is_prime, mul_raw
 
 EXHAUSTIVE_BUDGET_BITS = 24
 
@@ -172,10 +171,7 @@ class PermutationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown permutation kind {self.kind!r}")
-        if not 1 <= self.n <= 64:
-            raise UnsupportedDegreeError(
-                f"field degree must be in 1..64, got {self.n}"
-            )
+        check_degree(self.n)
         if self.kind in TRIPLE_KINDS and self.w != 3:
             raise ShapeError(f"{self.kind} requires w == 3, got w={self.w}")
         if self.kind == "piw" and self.w < 3:
@@ -386,12 +382,9 @@ def _big_endian_entries(table: array, width: int) -> bytearray:
 
 def _packed_table(entries, bits: int) -> array:
     """``entries`` copied into one ``array("Q")``, which must be a
-    permutation of ``range(2^bits)``: a scatter into a bytearray checks
-    that (an entry past the end raises IndexError, and a repeat leaves
-    some slot at 0), or from ``_NUMPY_TABLE_SIZE`` entries up one numpy
-    scatter (:func:`_covers_range`). Only a table that fails, or holds a
-    value no ``array("Q")`` can, is walked for its first fault in input
-    order."""
+    permutation of ``range(2^bits)`` (:func:`_covers_range`). Only a table
+    that fails, or holds a value no ``array("Q")`` can, is walked for its
+    first fault in input order."""
     size = 1 << bits
     if len(entries) != size:
         raise NotAPermutationError(f"table has {len(entries)} entries, expected {size}")
@@ -399,40 +392,40 @@ def _packed_table(entries, bits: int) -> array:
         table = array("Q", entries)
     except (TypeError, OverflowError):
         _raise_first_fault(entries, size)
-    if size >= _NUMPY_TABLE_SIZE:
-        if not _covers_range(table):
-            _raise_first_fault(table, size)
-        return table
-    seen = bytearray(size)
-    try:
-        for y in table:
-            seen[y] = 1
-    except IndexError:
-        _raise_first_fault(table, size)
-    if 0 in seen:
+    if not _covers_range(table):
         _raise_first_fault(table, size)
     return table
+
+
+def first_repeat(pairs) -> tuple[int, int] | None:
+    """The first ``(x0, x)`` over ``(input, output)`` pairs in input order
+    where x's output is the one an earlier input x0 had; None when no
+    output repeats. Every check that names a collision walks it."""
+    first = {}
+    for x, y in pairs:
+        if y in first:
+            return first[y], x
+        first[y] = x
+    return None
 
 
 def _raise_first_fault(entries, size: int):
     """Raise for the first entry, in input order, that is not an int,
     lies outside ``range(size)`` or repeats an earlier entry."""
-    first_seen = {}
-    for x, y in enumerate(entries):
+    def checked(y):
         try:
             y = operator.index(y)
         except TypeError:
             raise NotAPermutationError(f"table value {y!r} is not an int") from None
         if not 0 <= y < size:
             raise NotAPermutationError(f"table value {y:#x} out of range")
-        if y in first_seen:
-            raise NotAPermutationError(
-                f"inputs {first_seen[y]:#x} and {x:#x} map to the same "
-                f"output {y:#x}",
-                witness=(first_seen[y], x),
-            )
-        first_seen[y] = x
-    raise AssertionError("table check failed but no fault found")
+        return y
+
+    pair = first_repeat(enumerate(map(checked, entries)))  # lazy: faults come in input order
+    if pair is None:
+        raise AssertionError("table check failed but no fault found")
+    raise NotAPermutationError(f"inputs {pair[0]:#x} and {pair[1]:#x} map to the same "
+                               f"output {checked(entries[pair[1]]):#x}", witness=pair)
 
 
 def random_table(seed: int, n: int, w: int) -> PermutationSpec:
@@ -556,14 +549,12 @@ def _first_collision(spec: PermutationSpec) -> tuple[int, int] | None:
         owner[ys] = tags
         if not earlier.any() and (owner[ys] == tags).all():
             continue
-        first = {}
-        for x, y, tag in zip(range(start, stop), ys.tolist(), earlier.tolist()):
-            if tag:
-                return (tag - 1, x)
-            if y in first:
-                return (first[y], x)
-            first[y] = x
-        raise AssertionError("collision flagged but preimage not found")
+        # the block's first repeat, unless an earlier block's output comes back first
+        pair = first_repeat(zip(range(start, stop), ys.tolist()))
+        tagged = np.flatnonzero(earlier)
+        if len(tagged) and (pair is None or start + tagged[0] < pair[1]):
+            pair = (int(earlier[tagged[0]]) - 1, start + int(tagged[0]))
+        return pair
     return None
 
 
@@ -580,16 +571,20 @@ _DRAW_WORDS = 1 << 16
 
 
 def _covers_range(table: array) -> bool:
-    """Whether ``table`` holds every value of ``range(len(table))``, by
-    one scatter into a numpy bool array, indexed with an int64 view of
-    the entries after an unsigned range check (the view reads an entry of
-    2^63 or more as a negative index)."""
+    """Whether ``table`` holds every value of ``range(len(table))``: its
+    largest entry is below its length and no entry repeats, counted by a
+    set below ``_NUMPY_TABLE_SIZE`` entries, else by one scatter into a
+    numpy bool array through an int64 view of the entries, once they are
+    in range (the view reads an entry of 2^63 or more as negative)."""
+    size = len(table)
+    if size < _NUMPY_TABLE_SIZE:
+        return max(table) < size and len(set(table)) == size
     import numpy as np
 
     values = np.frombuffer(table, dtype=np.uint64)
-    if values.max() >= len(table):
+    if values.max() >= size:
         return False
-    seen = np.zeros(len(table), dtype=bool)
+    seen = np.zeros(size, dtype=bool)
     seen[values.view(np.int64)] = True
     return bool(seen.all())
 
@@ -717,8 +712,8 @@ def parse_hex(text: str) -> int:
 def parse_header(header: str, magic: str, names) -> list[int]:
     """The values of a ``<magic> v1 <name>=<value> ...`` header in the order
     of ``names``: positive ints in the ASCII digits 0-9 (``int()`` also
-    takes a sign, ``_`` and non-ASCII digits), the first (n) at most 64,
-    else a TableFormatError on line 1."""
+    takes a sign, ``_`` and non-ASCII digits), the first (n) at most
+    ``MAX_DEGREE``, else a TableFormatError on line 1."""
     parts = header.split()
     if len(parts) != 2 + len(names) or parts[:2] != [magic, "v1"]:
         raise TableFormatError(f"bad header {header!r}", line=1)

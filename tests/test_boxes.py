@@ -263,7 +263,9 @@ def test_bothmix_box_on_the_collapsed_plane_names_the_first_repeat():
     with pytest.raises(NotAPermutationError) as exc:
         image_of_box(spec, box)
     x0, x = pack_words((1, 0, 1), n), pack_words((1, 1, 0), n)
-    assert exc.value.witness == (x0, x)
+    assert exc.value.witness == (x0, x) == (0x41, 0x48)
+    assert str(exc.value) == ("box inputs 0x41 and 0x48 both map to 0x49; "
+                              "the box searches need a bijection")
     assert (str(exc.value), exc.value.witness) == _per_point_image(spec, box)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from condlab.boxes import QBox, image_of_box, intersection_count
 from condlab.cli import load_box_file, main, write_box_file
-from condlab.condenser import decompose
-from condlab.errors import TableFormatError
+from condlab.condenser import Decomposition, decompose, verify_converse_bounds
+from condlab.conductance import bound_sheet, cond_to_condd, condd_to_cond
+from condlab.errors import RangeError, TableFormatError
 from condlab.perms import PermutationSpec
 
 
@@ -489,8 +490,10 @@ PI1_Q2 = ("--spec", "pi1", "--n", "2", "--q", "2")
      "--w is required for --spec identity"),
     (("bounds", "--n", "2", "--q", "2"), "--w is required"),
     (("cond", "--spec", "pi1", "--n", "2", "--q", "5"), "--q 5 exceeds the alphabet size 2^2"),
+    (("cond", "--spec", "pi1", "--n", "0", "--q", "1"), "--n must be in 1..64, got 0"),
+    (("cond", "--spec", "pi1", "--n", "65", "--q", "2"), "--n must be in 1..64, got 65"),
 ], ids=["q-and-alpha-n", "no-eps1", "negative-eps1", "table-without-file", "piw-w2",
-        "identity-without-w", "bounds-without-w", "q-over-alphabet"])
+        "identity-without-w", "bounds-without-w", "q-over-alphabet", "n0", "n65"])
 def test_configuration_refusals_are_one_error_line(argv, message, capsys):
     assert run(*argv) == 1
     assert capsys.readouterr() == ("", f"error: invalid configuration: {message}\n")
@@ -511,6 +514,70 @@ def test_a_nan_parameter_is_refused_before_any_output(argv, message, tmp_path, c
     # as a failed precondition
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+EPS_COMMANDS = {  # each command with the real parameters it takes, at valid values
+    "decompose": (("decompose", *PI1_Q2, "--box-seed", "5"),
+                  {"eps1": "0.25", "eps2": "0.25", "eps3": "0.1"}),
+    "condenser-profile": (("condenser-profile", *PI1_Q2, "--trials", "2", "--seed", "7"),
+                          {"eps1": "0.25", "eps2": "0.25"}),
+    "bounds": (("bounds", "--n", "16", "--w", "3", "--q", "4"),
+               {"eps1": "0.25", "eps2": "0.25", "c": "0.5"}),
+    "experiment": (("experiment", "--n", "2", "--q", "2", "--w-list", "2", "--count", "1"),
+                   {"eps1": "0.5", "eps2": "0.0625", "c": "0.25"}),
+}
+
+
+def _pi1_image():
+    return image_of_box(PermutationSpec.pi1(2), QBox(((0, 1),) * 3, 2))
+
+
+def _dumped_with(name, value):
+    d = decompose(_pi1_image(), 1.0, 0.25, 0.25).to_json_dict()
+    d[name] = value
+    return Decomposition.from_json_dict(json.loads(json.dumps(d)))  # inf as Infinity
+
+
+LIBRARY_PARAMETERS = {
+    "decompose(eps1)": lambda v: decompose(_pi1_image(), 1.0, v, 0.25),
+    "decompose(eps2)": lambda v: decompose(_pi1_image(), 1.0, 0.25, v),
+    "from_json_dict(eps1)": lambda v: _dumped_with("eps1", v),
+    "from_json_dict(eps2)": lambda v: _dumped_with("eps2", v),
+    "verify_converse_bounds(eps3)": lambda v: verify_converse_bounds(
+        decompose(_pi1_image(), 1.0, 0.25, 0.25), v),
+    "bound_sheet(eps1)": lambda v: bound_sheet(16, 3, 4, eps1=v, eps2=0.25),
+    "bound_sheet(eps2)": lambda v: bound_sheet(16, 3, 4, eps1=0.25, eps2=v),
+    "bound_sheet(c)": lambda v: bound_sheet(16, 3, 4, c=v),
+    "condd_to_cond(condd)": lambda v: condd_to_cond(2, v),
+    "cond_to_condd(cond)": lambda v: cond_to_condd(2, v),
+}
+PARAMETER_CASES = [f"{command}--{name}" for command, (_, names) in EPS_COMMANDS.items()
+                   for name in names] + list(LIBRARY_PARAMETERS)
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case in PARAMETER_CASES for value in ("-1", "nan", "inf", "-inf")
+    if not (value == "-1" and case.endswith(("--c", "(c)")))  # c has no lower bound
+])
+def test_a_non_finite_or_negative_parameter_is_refused(case, value, tmp_path, capsys):
+    # inf passed every check once: a report held "eps1": Infinity, not JSON
+    if case in LIBRARY_PARAMETERS:
+        with pytest.raises(RangeError):
+            LIBRARY_PARAMETERS[case](float(value))
+        return
+    command, name = case.split("--")
+    argv, values = EPS_COMMANDS[command]
+    flags = [f"--{k}={value if k == name else v}" for k, v in values.items()]
+    out = tmp_path / "out"
+    assert run(*argv, *flags, "--out", str(out)) == 1
+    if command in ("decompose", "condenser-profile"):
+        message = f"invalid configuration: --{name} must be nonnegative"
+    elif name == "c":
+        message = f"c must be a number, got {float(value)}"
+    else:
+        message = "eps1 and eps2 must be nonnegative"
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 

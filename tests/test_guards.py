@@ -16,13 +16,13 @@ import json
 
 import condlab.conductance as conductance
 import condlab.gf2n as gf2n
-from condlab import Decomposition, PermutationSpec, PointSet
+from condlab import Decomposition, PermutationSpec, PointSet, RangeError, decompose
 
 
-def failure(fn):
+def failure(fn, error=AssertionError):
     try:
         fn()
-    except AssertionError as exc:
+    except error as exc:
         return str(exc)
     return None
 
@@ -46,14 +46,15 @@ shared = PointSet([1, 2], 2, 3)
 dec = Decomposition(parts=(shared, empty, empty), r0=shared, r1=empty, n=2,
                     w=3, alpha_n=1.0, eps1=0.25, eps2=0.25)
 validate = failure(dec.validate)
+nonfinite = failure(lambda: decompose(shared, 1.0, float("inf"), 0.25), RangeError)
 
 gf2n.default_poly(3)  # cache the modulus, found with the real product
 real_mul = gf2n.mul_raw
 gf2n.mul_raw = lambda a, b, p: real_mul(a, b, p) ^ 1
 selfcheck = failure(lambda: gf2n.selfcheck(3))
 
-print(json.dumps({"debug": __debug__, "heuristic": heuristic,
-                  "validate": validate, "selfcheck": selfcheck}))
+print(json.dumps({"debug": __debug__, "heuristic": heuristic, "validate": validate,
+                  "nonfinite": nonfinite, "selfcheck": selfcheck}))
 """
 
 
@@ -68,6 +69,7 @@ def test_invariant_checks_survive_python_O():
     assert seen["debug"] is False  # assert statements really are stripped
     assert "replays to" in seen["heuristic"]
     assert "overlap" in seen["validate"]
+    assert seen["nonfinite"] == "eps1 and eps2 must be nonnegative, got inf, 0.25"
     assert "field axiom" in seen["selfcheck"]
 
 

@@ -20,7 +20,7 @@ from condlab.errors import (
     TableFormatError,
     UnsupportedDegreeError,
 )
-from condlab.gf2n import default_poly, mul_raw
+from condlab.gf2n import FieldElement, ReductionPolynomial, default_poly, mul_raw
 from condlab.perms import (
     PermutationSpec,
     WordVector,
@@ -340,12 +340,14 @@ def _table_fault(entries, bits):
     raise AssertionError("the table was accepted")
 
 
-@pytest.mark.parametrize("bits", [18, 19])
+@pytest.mark.parametrize("bits", [4, 18, 19])
 @pytest.mark.parametrize("fault", ["early repeat", "late repeat", "size", "2^63",
                                    "2^64 - 1", "not an int"])
 def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, fault):
+    # the same faulty table through the numpy check, then the set check
     size = 1 << bits
-    assert size >= perms._NUMPY_TABLE_SIZE
+    if size < perms._NUMPY_TABLE_SIZE:
+        monkeypatch.setattr(perms, "_NUMPY_TABLE_SIZE", size)
     entries = list(range(size))
     if fault == "early repeat":
         entries[7] = 2
@@ -365,7 +367,7 @@ def test_large_table_faults_are_named_as_below_the_threshold(monkeypatch, bits, 
     found = _table_fault(entries, bits)
     # an entry no array("Q") holds is named before either check runs
     assert checked == ([] if fault == "not an int" else [size])
-    monkeypatch.setattr(perms, "_NUMPY_TABLE_SIZE", 2 * size)  # the bytearray path
+    monkeypatch.setattr(perms, "_NUMPY_TABLE_SIZE", 2 * size)  # the set path
     assert _table_fault(entries, bits) == found
     expected = {
         "early repeat": ("inputs 0x2 and 0x7 map to the same output 0x2", (2, 7)),
@@ -451,13 +453,31 @@ def test_shape_validation():
      "field degree must be in 1..64, got 0"),
     (lambda: PermutationSpec("pi1", 65, 3), UnsupportedDegreeError,
      "field degree must be in 1..64, got 65"),
+    # every other holder of a degree refuses it in the same words
+    (lambda: PermutationSpec.identity(0, 2), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 0"),
+    (lambda: PermutationSpec.identity(65, 2), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 65"),
+    (lambda: FieldElement(0, 0), UnsupportedDegreeError, "field degree must be in 1..64, got 0"),
+    (lambda: FieldElement(0, 65), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 65"),
+    (lambda: ReductionPolynomial(0, 1), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 0"),
+    (lambda: ReductionPolynomial(65, 1 << 65 | 1), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 65"),
+    (lambda: default_poly(0), UnsupportedDegreeError, "field degree must be in 1..64, got 0"),
+    (lambda: default_poly(65), UnsupportedDegreeError, "field degree must be in 1..64, got 65"),
+    (lambda: default_poly(3.0), UnsupportedDegreeError,
+     "field degree must be in 1..64, got 3.0"),
     (lambda: PermutationSpec.identity(2, 0), ShapeError, "w must be at least 1"),
     (lambda: PermutationSpec("random", 2, 2), ValueError, "random spec needs a table"),
     (lambda: PermutationSpec("identity", 1, 2, table=[0, 1, 2, 3]), ValueError,
      "identity spec does not take a table"),
     (lambda: PermutationSpec.explicit(range(7), 1, 3), NotAPermutationError,
      "table has 7 entries, expected 8"),
-], ids=["kind", "n0", "n65", "w0", "random-without-table", "identity-with-table",
+], ids=["kind", "n0", "n65", "identity-n0", "identity-n65", "element-n0", "element-n65",
+        "modulus-n0", "modulus-n65", "default-poly-n0", "default-poly-n65",
+        "default-poly-float", "w0", "random-without-table", "identity-with-table",
         "short-table"])
 def test_spec_construction_refusals(make, error, message):
     with pytest.raises(error) as exc:

@@ -167,6 +167,10 @@ def test_malformed_cli_input_is_one_error_line(tmp_path, capsys):
                     "'condlab-table v1 n=-1 w=3'\n"),
     ("n=2 w=0", 1, "parse error: line 1: bad header fields in "
                    "'condlab-table v1 n=2 w=0'\n"),
+    ("n=0 w=3", 1, "parse error: line 1: bad header fields in "
+                   "'condlab-table v1 n=0 w=3'\n"),
+    ("n=65 w=1", 1, "parse error: line 1: bad header fields in "
+                    "'condlab-table v1 n=65 w=1'\n"),
 ])
 def test_table_file_headers_are_checked_before_the_body(header, code, err, tmp_path):
     # the body is garbage: a check that read it first would name line 2
